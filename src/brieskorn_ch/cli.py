@@ -23,10 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import accumulate
 
 from .connected_sum import (
     GeneratorCounts,
+    SpecialSphereVerdict,
     combine,
     iterated_sphere_sum,
     special_sphere_check,
@@ -35,7 +39,7 @@ from .connected_sum import (
 from .contact import CHReport, DegenerateContactFormError, ch_report, period_shift
 from .maslov import classify_index, maslov_crosscheck, maslov_orbit_space
 from .orbits import OrbitType, enumerate_orbit_types
-from .randell import ExponentVector, full_homology
+from .randell import ExponentVector, HomologyReport, full_homology
 
 SCHEMA_VERSION = "1"
 
@@ -46,15 +50,12 @@ EXIT_NOT_WELL_DEFINED = 3
 EXIT_SPHERE_CHECK = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 is taken by the
-    # degenerate gate, so usage problems are rerouted to exit 1.
+    # degenerate gate, so usage problems are rerouted to exit 1, the exit
+    # of every ValueError that reaches `main`.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -70,111 +71,49 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_exponents(tokens: list[int]) -> ExponentVector:
-    try:
-        return ExponentVector(tuple(tokens))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
-# payload builders (plain JSON-ready dicts, deterministic field content)
+# report objects -> JSON values
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _character_payload(character) -> dict:
-    return {
-        "sign": character.sign,
-        "reciprocal_sum": _fraction_str(character.reciprocal_sum),
-    }
-
-
-def _ranks_payload(ranks) -> dict:
-    return {
-        "window": list(ranks.window),
-        "ranks": [[degree, rank] for degree, rank in ranks.items()],
-    }
+# Payload fields that differ from the dataclass: (fields left out, derived fields).
+_OVERRIDES = {
+    HomologyReport: (("full_graded",), lambda r: {"graded": [
+        {"degree": degree, "rank": rank, "torsion": list(tors)}
+        for degree, (rank, tors) in sorted(r.full_graded.items())
+    ]}),
+    OrbitType: (("J",), lambda t: {"support": list(t.J), "orbit_space_dim": t.orbit_space_dim}),
+    SpecialSphereVerdict: ((), lambda v: {
+        "passed": v.passed, "failing_clauses": list(v.failing_clauses()),
+    }),
+}
 
 
-def _homology_payload(report) -> dict:
-    graded = []
-    for degree in sorted(report.full_graded):
-        rank, tors = report.full_graded[degree]
-        graded.append({"degree": degree, "rank": rank, "torsion": list(tors)})
-    return {
-        "exponents": list(report.exponents),
-        "middle_rank": report.middle_rank,
-        "torsion": list(report.torsion),
-        "graded": graded,
-        "homotopy_sphere": report.homotopy_sphere,
-        "description": report.description,
-    }
+@cache
+def _field_names(kind: type) -> tuple[str, ...]:
+    left_out = _OVERRIDES.get(kind, ((),))[0]
+    return tuple(f.name for f in fields(kind) if f.name not in left_out)
 
 
-def _orbit_types_payload(a: ExponentVector, types: list[OrbitType]) -> dict:
-    return {
-        "exponents": list(a),
-        "character": _character_payload(classify_index(a)),
-        "orbit_types": [
-            {"m": t.m, "support": list(t.J), "orbit_space_dim": t.orbit_space_dim}
-            for t in types
-        ],
-    }
+def json_value(obj):
+    """JSON value of a report object, by its exact type.
 
-
-def _report_payload(report: CHReport, provenance: bool) -> dict:
-    payload = {
-        "exponents": list(report.exponents),
-        "character": _character_payload(report.character),
-        "ranks": _ranks_payload(report.ranks),
-        "period_shift": report.period_shift,
-        "period_multipliers": [
-            [m, s] for m, s in sorted(report.period_multipliers.items())
-        ],
-        "well_defined": report.well_defined,
-    }
-    if provenance:
-        payload["contributions"] = [
-            {"m": c.m, "N": c.N, "j": c.j, "degree": c.degree, "count": c.count}
-            for c in report.contributions
-        ]
-    return payload
-
-
-def _counts_payload(counts: GeneratorCounts) -> dict:
-    return {
-        "generator_counts": {
-            "counts": [[degree, count] for degree, count in counts.items()],
-            "cutoff": counts.cutoff,
-            "half_dim_n": counts.half_dim_n,
-        }
-    }
-
-
-def _verdict_payload(verdict) -> dict:
-    return {
-        "primes": list(verdict.primes),
-        "is_homotopy_sphere": verdict.is_homotopy_sphere,
-        "low_degree_rank": verdict.low_degree_rank,
-        "tube_degree_rank": verdict.tube_degree_rank,
-        "ranks_below": [list(pair) for pair in verdict.ranks_below],
-        "well_defined": verdict.well_defined,
-        "index_positive": verdict.index_positive,
-        "passed": verdict.passed,
-        "failing_clauses": list(verdict.failing_clauses()),
-    }
-
-
-def _envelope(command: str, input_echo: dict, payload: dict, diagnostics: list[str]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": input_echo,
-        "payload": payload,
-        "diagnostics": diagnostics,
-    }
+    A dict becomes its [key, value] pairs sorted by key, a dataclass its
+    {field: value} with the `_OVERRIDES` applied.
+    """
+    kind = type(obj)
+    if kind is int or kind is bool or kind is str:
+        return obj
+    if kind is tuple or kind is list:
+        return [json_value(item) for item in obj]
+    if kind is dict:
+        return [[key, json_value(value)] for key, value in sorted(obj.items())]
+    if kind is ExponentVector:
+        return list(obj.a)
+    if kind is Fraction:
+        return str(obj)
+    out = {name: json_value(getattr(obj, name)) for name in _field_names(kind)}
+    if kind in _OVERRIDES:
+        out.update(_OVERRIDES[kind][1](obj))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +130,16 @@ def _group_str(rank: int, tors: list[int]) -> str:
 
 
 def _render_text(envelope: dict) -> str:
-    command = envelope["command"]
-    payload = envelope["payload"]
+    command, payload = envelope["command"], envelope["payload"]
     lines = [f"command: {command}"]
-    if command == "homology":
+    if "exponents" in payload:
         lines.append(f"exponents: {tuple(payload['exponents'])}")
+    if "error" in payload:
+        lines.append(f"error: {payload['error']}")
+    elif "character" in payload:
+        char = payload["character"]
+        lines.append(f"character: {char['sign']} (sum 1/a = {char['reciprocal_sum']})")
+    if command == "homology":
         lines.append(f"description: {payload['description']}")
         lines.append(f"middle rank: {payload['middle_rank']}")
         tors = payload["torsion"]
@@ -204,38 +148,27 @@ def _render_text(envelope: dict) -> str:
             group = _group_str(entry["rank"], entry["torsion"])
             lines.append(f"H_{entry['degree']} = {group}")
     elif command == "orbits":
-        lines.append(f"exponents: {tuple(payload['exponents'])}")
-        char = payload["character"]
-        lines.append(f"character: {char['sign']} (sum 1/a = {char['reciprocal_sum']})")
         lines.append("orbit types:")
         for t in payload["orbit_types"]:
             support = ",".join(str(j) for j in t["support"])
             lines.append(
                 f"  m={t['m']:<6d} J={{{support}}}  dim={t['orbit_space_dim']}"
             )
-    elif command == "ch":
-        lines.append(f"exponents: {tuple(payload['exponents'])}")
-        if "error" in payload:
-            lines.append(f"error: {payload['error']}")
-        else:
-            char = payload["character"]
+    elif command == "ch" and "error" not in payload:
+        lines.append(f"period shift: {payload['period_shift']}")
+        steps = ", ".join(f"m={m}: {s}" for m, s in payload["period_multipliers"])
+        lines.append(f"period multipliers: {steps}")
+        lines.append(f"well defined: {'yes' if payload['well_defined'] else 'no'}")
+        window = payload["ranks"]["window"]
+        lines.append(f"ranks on [{window[0]}, {window[1]}]:")
+        lines.append("  degree  rank")
+        for degree, rank in payload["ranks"]["ranks"]:
+            lines.append(f"  {degree:>6d}  {rank:>4d}")
+        for c in payload.get("contributions", []):
             lines.append(
-                f"character: {char['sign']} (sum 1/a = {char['reciprocal_sum']})"
+                f"  from m={c['m']} N={c['N']} j={c['j']}:"
+                f" {c['count']} in degree {c['degree']}"
             )
-            lines.append(f"period shift: {payload['period_shift']}")
-            steps = ", ".join(f"m={m}: {s}" for m, s in payload["period_multipliers"])
-            lines.append(f"period multipliers: {steps}")
-            lines.append(f"well defined: {'yes' if payload['well_defined'] else 'no'}")
-            window = payload["ranks"]["window"]
-            lines.append(f"ranks on [{window[0]}, {window[1]}]:")
-            lines.append("  degree  rank")
-            for degree, rank in payload["ranks"]["ranks"]:
-                lines.append(f"  {degree:>6d}  {rank:>4d}")
-            for c in payload.get("contributions", []):
-                lines.append(
-                    f"  from m={c['m']} N={c['N']} j={c['j']}:"
-                    f" {c['count']} in degree {c['degree']}"
-                )
     elif command == "sum":
         counts = payload["generator_counts"]
         lines.append(f"half-dimension n: {counts['half_dim_n']}")
@@ -259,39 +192,28 @@ def _render_text(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(envelope: dict, fmt: str, diagnostics: list[str]) -> None:
-    for note in diagnostics:
-        print(note, file=sys.stderr)
-    if fmt == "json":
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(_render_text(envelope))
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (payload, input echo, diagnostics, exit code)
 
-def _cmd_homology(args) -> int:
-    a = _parse_exponents(args.exponents)
-    report = full_homology(a)
-    envelope = _envelope("homology", {"exponents": list(a)}, _homology_payload(report), [])
-    _emit(envelope, args.format, [])
-    return EXIT_OK
+def _cmd_homology(args):
+    a = ExponentVector(tuple(args.exponents))
+    return json_value(full_homology(a)), {"exponents": list(a)}, [], EXIT_OK
 
 
-def _cmd_orbits(args) -> int:
-    a = _parse_exponents(args.exponents)
-    types = enumerate_orbit_types(a)
+def _cmd_orbits(args):
+    a = ExponentVector(tuple(args.exponents))
+    character = classify_index(a)
+    payload = {
+        "exponents": list(a),
+        "character": json_value(character),
+        "orbit_types": json_value(enumerate_orbit_types(a)),
+    }
     diagnostics = []
-    if classify_index(a).is_degenerate:
+    if character.is_degenerate:
         diagnostics.append(
             "character is degenerate; contact homology is not defined for this input"
         )
-    envelope = _envelope(
-        "orbits", {"exponents": list(a)}, _orbit_types_payload(a, types), diagnostics
-    )
-    _emit(envelope, args.format, diagnostics)
-    return EXIT_OK
+    return payload, {"exponents": list(a)}, diagnostics, EXIT_OK
 
 
 def _default_window(a: ExponentVector) -> tuple[int, int]:
@@ -304,21 +226,18 @@ def _default_window(a: ExponentVector) -> tuple[int, int]:
 
 def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
     types = {t.m: t for t in enumerate_orbit_types(a)}
-    checked = 0
     for c in report.contributions:
-        t = types[c.m]
-        direct = maslov_orbit_space(a, t, c.N)
-        indirect = maslov_crosscheck(a, t, c.N)
+        direct = maslov_orbit_space(a, types[c.m], c.N)
+        indirect = maslov_crosscheck(a, types[c.m], c.N)
         if direct != indirect:
             raise RuntimeError(
                 f"index mismatch for m={c.m}, N={c.N}: {direct} != {indirect}"
             )
-        checked += 1
-    return checked
+    return len(report.contributions)
 
 
-def _cmd_ch(args) -> int:
-    a = _parse_exponents(args.exponents)
+def _cmd_ch(args):
+    a = ExponentVector(tuple(args.exponents))
     window = args.window if args.window is not None else _default_window(a)
     input_echo = {
         "exponents": list(a),
@@ -326,19 +245,17 @@ def _cmd_ch(args) -> int:
         "provenance": bool(args.provenance),
         "crosscheck": bool(args.crosscheck),
     }
-    diagnostics: list[str] = []
     try:
         report = ch_report(a, window)
     except DegenerateContactFormError as exc:
-        diagnostics.append(str(exc))
         payload = {
             "exponents": list(a),
             "error": "degenerate",
-            "character": _character_payload(classify_index(a)),
+            "character": json_value(classify_index(a)),
         }
-        _emit(_envelope("ch", input_echo, payload, diagnostics), args.format, diagnostics)
-        return EXIT_DEGENERATE
+        return payload, input_echo, [str(exc)], EXIT_DEGENERATE
 
+    diagnostics = []
     if args.crosscheck:
         checked = _run_crosscheck(a, report)
         diagnostics.append(f"crosscheck: {checked} contributions verified by both routes")
@@ -350,55 +267,66 @@ def _cmd_ch(args) -> int:
         diagnostics.append(
             "generators in degree -1, 0 or 1: not an invariant of the contact structure"
         )
-    payload = _report_payload(report, provenance=args.provenance)
-    _emit(_envelope("ch", input_echo, payload, diagnostics), args.format, diagnostics)
-    return EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
+    # Contributions are converted only when asked for: there can be hundreds.
+    payload = json_value(replace(report, contributions=()))
+    del payload["contributions"]
+    if args.provenance:
+        payload["contributions"] = json_value(report.contributions)
+    code = EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
+    return payload, input_echo, diagnostics, code
 
 
 def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
     if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
-        raise _UsageError(f"{path}: not a schema-{SCHEMA_VERSION} envelope")
+        raise ValueError(f"{path}: not a schema-{SCHEMA_VERSION} envelope")
     payload = obj.get("payload", {})
     if "generator_counts" in payload:
         raw = payload["generator_counts"]
-        return GeneratorCounts(
-            counts={int(d): int(c) for d, c in raw["counts"]},
-            cutoff=int(raw["cutoff"]),
-            half_dim_n=int(raw["half_dim_n"]),
-        )
-    if "ranks" in payload and "exponents" in payload:
-        ranks = payload["ranks"]
-        return GeneratorCounts(
-            counts={int(d): int(c) for d, c in ranks["ranks"]},
-            cutoff=int(ranks["window"][1]),
-            half_dim_n=len(payload["exponents"]) - 1,
-        )
-    raise _UsageError(f"{path}: envelope carries no generator counts")
+        pairs, cutoff, n = raw["counts"], raw["cutoff"], raw["half_dim_n"]
+    elif "ranks" in payload and "exponents" in payload:
+        # Counts mean something only for an invariant whose degrees are
+        # bounded below: a well-defined, index-positive report.
+        if payload.get("well_defined") is not True:
+            raise ValueError(
+                f"{path}: contact homology not well defined (generators in degree"
+                " -1, 0 or 1); its counts cannot be summed"
+            )
+        sign = payload.get("character", {}).get("sign")
+        if sign != "positive":
+            raise ValueError(
+                f"{path}: index character is {sign}, so degrees are unbounded below;"
+                " only index-positive reports can be summed"
+            )
+        pairs, cutoff = payload["ranks"]["ranks"], payload["ranks"]["window"][1]
+        n = len(payload["exponents"]) - 1
+    else:
+        raise ValueError(f"{path}: envelope carries no generator counts")
+    return GeneratorCounts(
+        counts={int(d): int(c) for d, c in pairs}, cutoff=int(cutoff), half_dim_n=int(n)
+    )
 
 
-def _cmd_sum(args) -> int:
+def _cmd_sum(args):
     counts_list = []
     for path in args.files:
         try:
             with open(path, encoding="utf-8") as handle:
                 obj = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
         counts_list.append(_counts_from_envelope(obj, path))
 
     if args.beta_n is not None:
         for counts, path in zip(counts_list, args.files):
             if counts.half_dim_n != args.beta_n:
-                raise _UsageError(
+                raise ValueError(
                     f"{path}: half-dimension {counts.half_dim_n} != --beta-n {args.beta_n}"
                 )
     dims = {counts.half_dim_n for counts in counts_list}
     if len(dims) > 1:
-        raise _UsageError(f"half-dimension mismatch across inputs: {sorted(dims)}")
+        raise ValueError(f"half-dimension mismatch across inputs: {sorted(dims)}")
 
-    total = counts_list[0]
-    for counts in counts_list[1:]:
-        total = combine(total, counts)
+    total = reduce(combine, counts_list)
     if args.cutoff is not None:
         cutoff = min(args.cutoff, total.cutoff)
         total = GeneratorCounts(
@@ -406,122 +334,76 @@ def _cmd_sum(args) -> int:
             cutoff=cutoff,
             half_dim_n=total.half_dim_n,
         )
-    input_echo = {
-        "files": list(args.files),
-        "beta_n": args.beta_n,
-        "cutoff": args.cutoff,
-    }
-    envelope = _envelope("sum", input_echo, _counts_payload(total), [])
-    _emit(envelope, args.format, [])
-    return EXIT_OK
+    input_echo = {"files": list(args.files), "beta_n": args.beta_n, "cutoff": args.cutoff}
+    return {"generator_counts": json_value(total)}, input_echo, [], EXIT_OK
 
 
-def _cmd_exotic(args) -> int:
+def _cmd_exotic(args):
     primes = tuple(args.primes)
-    try:
-        a = sphere_exponents(primes)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    a = sphere_exponents(primes)
     n = a.n
     window = args.window if args.window is not None else (0, 2 * n - 2)
     if not (window[0] <= 2 * n - 4 and 2 * n - 3 <= window[1]):
-        raise _UsageError("window must cover degrees 2n-4 and 2n-3")
-    input_echo = {
-        "primes": list(primes),
-        "copies": args.copies,
-        "window": list(window),
-    }
-    diagnostics: list[str] = []
-    try:
-        report = ch_report(a, window)
-    except DegenerateContactFormError as exc:  # unreachable: two exponents are 2
-        raise _UsageError(str(exc)) from exc
+        raise ValueError("window must cover degrees 2n-4 and 2n-3")
+    input_echo = {"primes": list(primes), "copies": args.copies, "window": list(window)}
+    # Two exponents are 2, so the character is never degenerate here.
+    report = ch_report(a, window)
     verdict = special_sphere_check(primes, report)
     if not verdict.passed:
-        diagnostics.extend(f"failing clause: {c}" for c in verdict.failing_clauses())
-        envelope = _envelope(
-            "exotic", input_echo, {"verdict": _verdict_payload(verdict)}, diagnostics
-        )
-        _emit(envelope, args.format, diagnostics)
-        return EXIT_SPHERE_CHECK
+        diagnostics = [f"failing clause: {c}" for c in verdict.failing_clauses()]
+        return {"verdict": json_value(verdict)}, input_echo, diagnostics, EXIT_SPHERE_CHECK
 
     sphere = GeneratorCounts(
-        counts=dict(report.ranks.ranks),
-        cutoff=report.ranks.window[1],
-        half_dim_n=n,
+        counts=dict(report.ranks.ranks), cutoff=report.ranks.window[1], half_dim_n=n
     )
-    rows = []
-    for copies in range(1, args.copies + 1):
-        folded = iterated_sphere_sum(sphere, copies)
-        rows.append(
-            {
-                "copies": copies,
-                "low_degree": folded[2 * n - 4],
-                "tube_degree": folded[2 * n - 3],
-            }
-        )
-    diagnostics.append(
-        "degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"
-    )
+    # Row r is the r-fold self-sum, so all rows come from one running left
+    # fold, the same fold iterated_sphere_sum(sphere, r) does.
+    folds = list(accumulate([sphere] * args.copies, combine))
+    if not folds:
+        iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
     payload = {
-        "verdict": _verdict_payload(verdict),
-        "iterated_counts": rows,
-        "final_counts": _counts_payload(iterated_sphere_sum(sphere, args.copies))[
-            "generator_counts"
+        "verdict": json_value(verdict),
+        "iterated_counts": [
+            {"copies": r, "low_degree": f[2 * n - 4], "tube_degree": f[2 * n - 3]}
+            for r, f in enumerate(folds, 1)
         ],
+        "final_counts": json_value(folds[-1]),
     }
-    envelope = _envelope("exotic", input_echo, payload, diagnostics)
-    _emit(envelope, args.format, diagnostics)
-    return EXIT_OK
+    diagnostics = ["degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"]
+    return payload, input_echo, diagnostics, EXIT_OK
 
-
-# ---------------------------------------------------------------------------
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="brieskorn-ch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument(
-            "--format", choices=("json", "text"), default="json", help="output format"
-        )
-
-    p_hom = sub.add_parser("homology", help="integral homology of the manifold")
-    p_hom.add_argument("exponents", nargs="+", type=int)
-    add_common(p_hom)
-    p_hom.set_defaults(func=_cmd_homology)
-
-    p_orb = sub.add_parser("orbits", help="orbit types and index character")
-    p_orb.add_argument("exponents", nargs="+", type=int)
-    add_common(p_orb)
-    p_orb.set_defaults(func=_cmd_orbits)
-
-    p_ch = sub.add_parser("ch", help="contact homology generator counts")
-    p_ch.add_argument("exponents", nargs="+", type=int)
-    p_ch.add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
-    p_ch.add_argument("--provenance", action="store_true", help="include contributions")
-    p_ch.add_argument(
+    commands = (
+        ("homology", _cmd_homology, "integral homology of the manifold"),
+        ("orbits", _cmd_orbits, "orbit types and index character"),
+        ("ch", _cmd_ch, "contact homology generator counts"),
+        ("sum", _cmd_sum, "connected-sum generator counting"),
+        ("exotic", _cmd_exotic, "special sphere and iterated sums"),
+    )
+    p = {name: sub.add_parser(name, help=help_text) for name, _, help_text in commands}
+    for name in ("homology", "orbits", "ch"):
+        p[name].add_argument("exponents", nargs="+", type=int)
+    p["ch"].add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
+    p["ch"].add_argument("--provenance", action="store_true", help="include contributions")
+    p["ch"].add_argument(
         "--crosscheck",
         action="store_true",
         help="verify every index by the independent unitary-path route",
     )
-    add_common(p_ch)
-    p_ch.set_defaults(func=_cmd_ch)
-
-    p_sum = sub.add_parser("sum", help="connected-sum generator counting")
-    p_sum.add_argument("files", nargs="+", help="JSON envelopes from ch or sum")
-    p_sum.add_argument("--beta-n", type=int, default=None, dest="beta_n")
-    p_sum.add_argument("--cutoff", type=int, default=None)
-    add_common(p_sum)
-    p_sum.set_defaults(func=_cmd_sum)
-
-    p_exo = sub.add_parser("exotic", help="special sphere and iterated sums")
-    p_exo.add_argument("--primes", nargs="+", type=int, required=True)
-    p_exo.add_argument("--copies", type=int, default=1)
-    p_exo.add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
-    add_common(p_exo)
-    p_exo.set_defaults(func=_cmd_exotic)
-
+    p["sum"].add_argument("files", nargs="+", help="JSON envelopes from ch or sum")
+    p["sum"].add_argument("--beta-n", type=int, default=None, dest="beta_n")
+    p["sum"].add_argument("--cutoff", type=int, default=None)
+    p["exotic"].add_argument("--primes", nargs="+", type=int, required=True)
+    p["exotic"].add_argument("--copies", type=int, default=1)
+    p["exotic"].add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
+    for name, func, _ in commands:
+        p[name].add_argument(
+            "--format", choices=("json", "text"), default="json", help="output format"
+        )
+        p[name].set_defaults(func=func)
     return parser
 
 
@@ -529,13 +411,24 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        payload, input_echo, diagnostics, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    envelope = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "input": input_echo,
+        "payload": payload,
+        "diagnostics": diagnostics,
+    }
+    for note in diagnostics:
+        print(note, file=sys.stderr)
+    if args.format == "json":
+        sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+    else:
+        sys.stdout.write(_render_text(envelope))
+    return code
 
 
 def run() -> None:

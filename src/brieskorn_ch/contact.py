@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .maslov import IndexCharacter, _index_formula, classify_index
+from .maslov import IndexCharacter, _index_formula, classify_index, maslov_orbit_space
 from .orbits import OrbitType, enumerate_orbit_types, valid_multiplier
 from .randell import ExponentVector, orbit_space_rational_homology
 
@@ -81,9 +81,7 @@ def generator_degree(a: ExponentVector, t: OrbitType, N: int, j: int) -> int:
     """Degree of the generators from H_j of the N-fold cover of type `t`."""
     if not 0 <= j <= t.orbit_space_dim:
         raise ValueError("homology degree outside the orbit space dimension")
-    if not valid_multiplier(a, t, N):
-        raise ValueError("iterate leaves orbit type")
-    return _index_formula(a, t, N) + (a.n - 3) + j - (len(t.J) - 2)
+    return maslov_orbit_space(a, t, N) + (a.n - 3) + j - (len(t.J) - 2)
 
 
 def period_shift(a: ExponentVector) -> int:
@@ -125,6 +123,13 @@ def _contributions(a, types, lo, hi, character):
     return out
 
 
+def _graded(contributions, lo: int, hi: int) -> GradedRanks:
+    ranks: dict[int, int] = {}
+    for c in contributions:
+        ranks[c.degree] = ranks.get(c.degree, 0) + c.count
+    return GradedRanks(ranks=ranks, window=(lo, hi))
+
+
 def _require_nondegenerate(a: ExponentVector) -> IndexCharacter:
     character = classify_index(a)
     if character.is_degenerate:
@@ -141,10 +146,7 @@ def ch_ranks(a: ExponentVector, window: tuple[int, int]) -> GradedRanks:
         raise ValueError("window must satisfy lo <= hi")
     character = _require_nondegenerate(a)
     types = enumerate_orbit_types(a)
-    ranks: dict[int, int] = {}
-    for c in _contributions(a, types, lo, hi, character):
-        ranks[c.degree] = ranks.get(c.degree, 0) + c.count
-    return GradedRanks(ranks=ranks, window=(lo, hi))
+    return _graded(_contributions(a, types, lo, hi, character), lo, hi)
 
 
 def ranks_up_to(a: ExponentVector, hi: int) -> GradedRanks:
@@ -162,10 +164,7 @@ def ranks_up_to(a: ExponentVector, hi: int) -> GradedRanks:
     lo = floor_bound.numerator // floor_bound.denominator
     if lo > hi:
         lo = hi
-    ranks: dict[int, int] = {}
-    for c in _contributions(a, types, lo, hi, character):
-        ranks[c.degree] = ranks.get(c.degree, 0) + c.count
-    return GradedRanks(ranks=ranks, window=(lo, hi))
+    return _graded(_contributions(a, types, lo, hi, character), lo, hi)
 
 
 def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
@@ -181,15 +180,12 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
     character = _require_nondegenerate(a)
     types = enumerate_orbit_types(a)
     contribs = tuple(_contributions(a, types, lo, hi, character))
-    ranks: dict[int, int] = {}
-    for c in contribs:
-        ranks[c.degree] = ranks.get(c.degree, 0) + c.count
     gate = _contributions(a, types, -1, 1, character)
     L = a.lcm()
     return CHReport(
         exponents=a,
         character=character,
-        ranks=GradedRanks(ranks=ranks, window=(lo, hi)),
+        ranks=_graded(contribs, lo, hi),
         period_shift=period_shift(a),
         period_multipliers={t.m: L // t.m for t in types},
         well_defined=not gate,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import brieskorn_ch as b
-from brieskorn_ch.cli import _verdict_payload, main
+from brieskorn_ch.cli import json_value as _verdict_payload, main
 from randell_oracle import kappa_oracle, torsion_oracle
 
 GOLDEN = Path(__file__).parent / "golden"

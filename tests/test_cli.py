@@ -233,3 +233,25 @@ def test_round_trip_through_sum(capsys, tmp_path):
     # second fold adds one more tube generator in each odd degree
     counts = dict((d, c) for d, c in envelope["payload"]["generator_counts"]["counts"])
     assert counts[3] == 2 and counts[5] == 2 and counts[7] == 2
+
+
+def test_sum_refuses_a_report_that_is_not_well_defined(capsys, tmp_path):
+    code, out, _ = run(capsys, "ch", "2", "3", "12", "7", "--window", "0:8")
+    assert code == 3
+    ch_file = tmp_path / "ch.json"
+    ch_file.write_text(out)
+    code, out, err = run(capsys, "sum", str(ch_file), str(ch_file))
+    assert code == 1
+    assert out == ""
+    assert "not well defined" in err
+
+
+def test_sum_refuses_an_index_negative_report(capsys, tmp_path):
+    code, out, _ = run(capsys, "ch", "7", "7", "7", "7", "--window=-30:0")
+    assert code == 0
+    ch_file = tmp_path / "ch.json"
+    ch_file.write_text(out)
+    code, out, err = run(capsys, "sum", str(ch_file), str(ch_file))
+    assert code == 1
+    assert out == ""
+    assert "unbounded below" in err

@@ -13,6 +13,8 @@ table with the same numbers); diagnostics go to stderr.  Exit codes:
     2  degenerate character (sum of reciprocal exponents is 1)
     3  contact homology not well defined (generators in degree -1, 0, 1)
     4  special-sphere check failed
+    5  internal invariant failed (a homology or index check inside the
+       computation; a bug, reported with its reason)
 
 Window syntax is LO:HI, inclusive on both ends; use --window=-30:0 for
 negative lower edges so the shell token is not read as a flag.
@@ -39,7 +41,7 @@ from .connected_sum import (
 from .contact import CHReport, DegenerateContactFormError, ch_report, period_shift
 from .maslov import classify_index, maslov_crosscheck, maslov_orbit_space
 from .orbits import OrbitType, enumerate_orbit_types
-from .randell import ExponentVector, HomologyReport, full_homology
+from .randell import ExponentVector, HomologyInvariantError, HomologyReport, full_homology
 
 SCHEMA_VERSION = "1"
 
@@ -48,6 +50,11 @@ EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 EXIT_NOT_WELL_DEFINED = 3
 EXIT_SPHERE_CHECK = 4
+EXIT_INVARIANT = 5
+
+
+class _CrosscheckError(RuntimeError):
+    """The two routes to a Maslov index disagreed."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,7 +237,7 @@ def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
         direct = maslov_orbit_space(a, types[c.m], c.N)
         indirect = maslov_crosscheck(a, types[c.m], c.N)
         if direct != indirect:
-            raise RuntimeError(
+            raise _CrosscheckError(
                 f"index mismatch for m={c.m}, N={c.N}: {direct} != {indirect}"
             )
     return len(report.contributions)
@@ -280,10 +287,27 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
     if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{path}: not a schema-{SCHEMA_VERSION} envelope")
     payload = obj.get("payload", {})
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: malformed envelope payload")
     if "generator_counts" in payload:
-        raw = payload["generator_counts"]
-        pairs, cutoff, n = raw["counts"], raw["cutoff"], raw["half_dim_n"]
+        kind = "sum"
     elif "ranks" in payload and "exponents" in payload:
+        kind = "ch"
+    else:
+        raise ValueError(f"{path}: envelope carries no generator counts")
+    try:
+        if kind == "sum":
+            raw = payload["generator_counts"]
+            pairs, cutoff, n = raw["counts"], raw["cutoff"], raw["half_dim_n"]
+        else:
+            sign = payload.get("character", {}).get("sign")
+            lo, cutoff = map(int, payload["ranks"]["window"])
+            pairs, n = payload["ranks"]["ranks"], len(payload["exponents"]) - 1
+        counts = {int(d): int(c) for d, c in pairs}
+        cutoff, n = int(cutoff), int(n)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {kind} payload") from exc
+    if kind == "ch":
         # Counts mean something only for an invariant whose degrees are
         # bounded below: a well-defined, index-positive report.
         if payload.get("well_defined") is not True:
@@ -291,19 +315,20 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
                 f"{path}: contact homology not well defined (generators in degree"
                 " -1, 0 or 1); its counts cannot be summed"
             )
-        sign = payload.get("character", {}).get("sign")
         if sign != "positive":
             raise ValueError(
                 f"{path}: index character is {sign}, so degrees are unbounded below;"
                 " only index-positive reports can be summed"
             )
-        pairs, cutoff = payload["ranks"]["ranks"], payload["ranks"]["window"][1]
-        n = len(payload["exponents"]) - 1
-    else:
-        raise ValueError(f"{path}: envelope carries no generator counts")
-    return GeneratorCounts(
-        counts={int(d): int(c) for d, c in pairs}, cutoff=int(cutoff), half_dim_n=int(n)
-    )
+        # Such a report has every generator in degree 2 or above (degrees
+        # are >= -1 and none lie in -1, 0, 1), so a window starting at or
+        # below 2 misses none of them.
+        if lo > 2:
+            raise ValueError(
+                f"{path}: window starts at {lo}, so generators below it are missing;"
+                " only reports whose window starts at or below 2 can be summed"
+            )
+    return GeneratorCounts(counts=counts, cutoff=cutoff, half_dim_n=n)
 
 
 def _cmd_sum(args):
@@ -415,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (HomologyInvariantError, _CrosscheckError) as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,

@@ -4,17 +4,19 @@ A Brieskorn manifold is cut out of the unit sphere in C^(n+1) by
 z_0^{a_0} + ... + z_n^{a_n} = 0, so everything topological about it is a
 function of the exponent vector (a_0, ..., a_n).  The free rank of the
 middle homology is an alternating sum of products-over-lcm terms taken
-over subsets of the exponents (Randell's kappa); the torsion comes from a
-gcd recursion over the same subset lattice.  The rational homology of the
-S^1-quotient orbifold follows from kappa as well.
+over subsets of the exponents (Randell's kappa); it and the torsion's gcd
+recursion are Möbius transforms over one bitmask table of the subsets.
+The rational homology of the S^1-quotient orbifold follows from kappa.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import gcd_set, lcm_set, subsets
+from .exact import gcd_set, lcm_set, subsets  # subsets: unused, kept for perfbench's tracer
 
 
 class HomologyInvariantError(RuntimeError):
@@ -89,24 +91,41 @@ class OrbitSpaceHomology:
             raise ValueError("ranks must cover degrees 0..dimension")
 
 
-def _kappa_raw(a: ExponentVector, support: tuple[int, ...]) -> int:
-    """Alternating subset sum; no size restriction on `support`.
+def _moebius(table: list, width: int, undo) -> list:
+    """Turn table[S] = sum (or product) of f(T) over T ⊆ S into f(S), in place.
 
-    The empty subset contributes (-1)^{|support|} (empty product 1, empty
-    lcm 1), the convention that reproduces the known closed forms.
+    `undo` takes one term back out; masks run over `width` bits, below len(table).
     """
-    s = len(support)
-    total = Fraction(0)
-    for sub in subsets(support):
-        prod = 1
-        for i in sub:
-            prod *= a[i]
-        total += Fraction((-1) ** (s - len(sub)) * prod, lcm_set(a[i] for i in sub))
-    if total.denominator != 1 or total < 0:
-        raise HomologyInvariantError(
-            f"kappa{tuple(a)} on {support} evaluated to {total}, not a rank"
-        )
-    return int(total)
+    for i in range(width):
+        bit = 1 << i
+        for mask in range(bit, len(table)):
+            if mask & bit:
+                table[mask] = undo(table[mask], table[mask ^ bit])
+    return table
+
+
+def _kappa_table(values: tuple[int, ...]) -> list[int]:
+    """Kappa of every subset of `values`, indexed by bitmask.
+
+    Kappa is the Möbius transform of prod/lcm, an exact integer that is 1 on
+    the empty set; prod and lcm of S extend those of S minus its lowest bit.
+    """
+    size = 1 << len(values)
+    prod, lcm = [1] * size, [1] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        x = values[low.bit_length() - 1]
+        prod[mask] = prod[mask ^ low] * x
+        lcm[mask] = math.lcm(lcm[mask ^ low], x)
+    table = _moebius([p // m for p, m in zip(prod, lcm)], len(values), operator.sub)
+    if min(table) < 0:
+        raise HomologyInvariantError(f"negative kappa on a subset of {values}")
+    return table
+
+
+def _kappa_raw(a: ExponentVector, support: tuple[int, ...]) -> int:
+    """Kappa of `support`; no size restriction on it."""
+    return _kappa_table(tuple(a[i] for i in support))[-1]
 
 
 def kappa(a: ExponentVector, support: tuple[int, ...]) -> int:
@@ -122,48 +141,35 @@ def kappa(a: ExponentVector, support: tuple[int, ...]) -> int:
 def torsion(a: ExponentVector) -> tuple[int, ...]:
     """Orders (d_1, ..., d_r) of the cyclic torsion of the middle homology.
 
-    d_j is a product of recursively defined gcd quotients C(I_s) over the
-    subsets whose kappa-count reaches j; trivial factors 1 are dropped.
-    The C-recursion stays in exact rationals and each value is checked to
-    be integral at the end.
+    d_j is the product of C(S) over the proper subsets S with an odd
+    complement and kappa(S) >= j, so it changes only where j passes such a
+    kappa; trivial factors 1 are dropped.  C is the multiplicative Möbius
+    transform of gcd(a_i : i not in S), in exact rationals checked integral.
     """
-    n1 = len(a)
-    full = a.full_support
-
-    k_count: dict[tuple[int, ...], int] = {}
-    for sub in subsets(full):
-        k_count[sub] = _kappa_raw(a, sub) if (n1 - len(sub)) % 2 == 1 else 0
-
-    # C(I_s) for proper subsets only; the full set is never consumed since
-    # its k-count vanishes (n + 1 - s = 0 is even).
-    c_val: dict[tuple[int, ...], Fraction] = {(): Fraction(gcd_set(a))}
-    for sub in subsets(full, 1):
-        if len(sub) == n1:
-            continue
-        inside = set(sub)
-        numer = gcd_set(x for i, x in enumerate(a) if i not in inside)
-        denom = Fraction(1)
-        for smaller in subsets(sub):
-            if len(smaller) < len(sub):
-                denom *= c_val[smaller]
-        c_val[sub] = Fraction(numer) / denom
-
-    for sub, c in c_val.items():
+    k = len(a)
+    full = (1 << k) - 1
+    kap = _kappa_table(a.a)
+    g = [Fraction(gcd_set(x for i, x in enumerate(a) if not mask >> i & 1))
+         for mask in range(full)]
+    factor: dict[int, int] = {}  # kappa value -> product of the C it carries
+    for mask, c in enumerate(_moebius(g, k, operator.truediv)):
         if c.denominator != 1:
+            sub = tuple(i for i in range(k) if mask >> i & 1)
             raise HomologyInvariantError(f"C{sub} = {c} is not integral for {tuple(a)}")
+        if (k - mask.bit_count()) % 2 == 1 and kap[mask] > 0:
+            factor[kap[mask]] = factor.get(kap[mask], 1) * int(c)
 
-    r = max(k_count.values(), default=0)
-    ds = []
-    for j in range(1, r + 1):
-        d = 1
-        for sub, k in k_count.items():
-            if k >= j:
-                d *= int(c_val[sub])
-        ds.append(d)
-    for prev, nxt in zip(ds, ds[1:]):
+    # d_j as (order, run length) runs for j = 1, 2, ...
+    levels = sorted(factor)
+    order = math.prod(factor.values())
+    runs = []
+    for level, below in zip(levels, [0] + levels):
+        runs.append((order, level - below))
+        order //= factor[level]
+    for (prev, _), (nxt, _) in zip(runs, runs[1:]):
         if prev % nxt:
-            raise HomologyInvariantError(f"torsion chain broken for {tuple(a)}: {ds}")
-    return tuple(d for d in ds if d != 1)
+            raise HomologyInvariantError(f"torsion chain broken for {tuple(a)}: {runs}")
+    return tuple(d for d, length in runs if d != 1 for _ in range(length))
 
 
 def full_homology(a: ExponentVector) -> HomologyReport:
@@ -213,15 +219,8 @@ def orbit_space_rational_homology(
     support in the middle degree.  When |support| is odd the middle degree
     is odd and the kappa part is the only contribution there.
     """
-    support = tuple(sorted(support))
-    if len(support) < 2:
-        raise ValueError("support needs at least two indices")
+    extra = kappa(a, support)  # validates the support
     dim = 2 * len(support) - 4
-    extra = kappa(a, support)
-    ranks = []
-    for q in range(dim + 1):
-        rank = 1 if q % 2 == 0 else 0
-        if 2 * q == dim:
-            rank += extra
-        ranks.append(rank)
+    ranks = [1 if q % 2 == 0 else 0 for q in range(dim + 1)]
+    ranks[dim // 2] += extra
     return OrbitSpaceHomology(dimension=dim, ranks=tuple(ranks))

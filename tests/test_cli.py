@@ -255,3 +255,61 @@ def test_sum_refuses_an_index_negative_report(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "unbounded below" in err
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ({"generator_counts": {"counts": []}}, "malformed sum payload"),
+    (["generator_counts"], "malformed envelope payload"),
+    ({"ranks": {"ranks": []}, "exponents": [6, 2, 2, 2]}, "malformed ch payload"),
+])
+def test_sum_refuses_a_malformed_payload(capsys, tmp_path, payload, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": "1", "payload": payload}))
+    code, out, err = run(capsys, "sum", str(bad), str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: {reason}\n"
+
+
+def test_sum_refuses_a_window_that_starts_above_degree_two(capsys, tmp_path):
+    # generators in degrees 2 and 4 lie below this window and would be lost
+    code, out, _ = run(capsys, "ch", "6", "2", "2", "2", "--window", "6:12")
+    assert code == 0
+    ch_file = tmp_path / "ch.json"
+    ch_file.write_text(out)
+    code, out, err = run(capsys, "sum", str(ch_file), str(ch_file))
+    assert code == 1
+    assert out == ""
+    assert "window starts at 6" in err
+
+
+def test_sum_accepts_a_window_that_starts_at_degree_two(capsys, tmp_path):
+    code, out, _ = run(capsys, "ch", "6", "2", "2", "2", "--window", "2:12")
+    ch_file = tmp_path / "ch.json"
+    ch_file.write_text(out)
+    code, envelope, _ = run_json(capsys, "sum", str(ch_file), str(ch_file))
+    assert code == 0
+    assert envelope["payload"]["generator_counts"]["counts"][:2] == [[2, 2], [3, 1]]
+
+
+def test_homology_invariant_failure_exits_5(capsys, monkeypatch):
+    from brieskorn_ch import randell
+
+    def broken(a):
+        raise randell.HomologyInvariantError("torsion chain broken")
+
+    monkeypatch.setattr(randell, "torsion", broken)
+    code, out, err = run(capsys, "homology", "4", "2", "2", "2")
+    assert code == 5
+    assert out == ""
+    assert err == "error: internal invariant failed: torsion chain broken\n"
+
+
+def test_crosscheck_mismatch_exits_5(capsys, monkeypatch):
+    from brieskorn_ch import cli
+
+    monkeypatch.setattr(cli, "maslov_crosscheck", lambda a, t, N: -999)
+    code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--crosscheck")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal invariant failed: index mismatch")

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -103,8 +105,18 @@ def test_orbit_space_odd_middle_degree():
 
 def test_oracle_equivalence_sampled():
     rng = random.Random(5)
-    for _ in range(150):
-        a = tuple(rng.randint(2, 9) for _ in range(rng.randint(4, 6)))
+    samples = [
+        tuple(rng.randint(2, 9) for _ in range(rng.randint(4, 6))) for _ in range(150)
+    ]
+    for a in samples + [
+        (2, 2, 2, 2, 2, 2, 2),
+        (3, 3, 3, 3, 3, 3, 3),
+        (2, 3, 4, 2, 3, 4, 6),
+        (5, 5, 2, 2, 3, 4, 2),
+        (2, 3, 2, 3, 2, 3, 2, 3),
+        (2, 4, 4, 4, 2, 6, 2, 2),
+        (3, 3, 3, 3, 3, 3, 3, 3),
+    ]:
         ev = ExponentVector(a)
         support = tuple(range(len(a)))
         assert kappa(ev, support) == kappa_oracle(a, support)
@@ -133,3 +145,37 @@ def test_kappa_nonnegative_on_a_grid():
         for size in (2, 3, 4):
             for support in itertools.combinations(range(4), size):
                 assert kappa(ExponentVector(a), support) >= 0
+
+
+def eigenvalue_count(exponents):
+    """#{k : 0 < k_i < a_i, sum of k_i / a_i an integer}, counted directly.
+
+    Brieskorn's count of the monodromy eigenvalue 1, an independent route
+    to kappa: no subset sums, just the tuples k tallied by the residue of
+    L * sum k_i / a_i mod L, with L the lcm of the exponents.
+    """
+    L = math.lcm(*exponents)
+    ways = Counter({0: 1})
+    for x in exponents:
+        extended = Counter()
+        for residue, count in ways.items():
+            for k in range(1, x):
+                extended[(residue + k * (L // x)) % L] += count
+        ways = extended
+    return ways[0]
+
+
+def test_kappa_matches_the_eigenvalue_count_on_every_support():
+    rng = random.Random(23)
+    for _ in range(200):
+        a = tuple(rng.randint(2, 7) for _ in range(rng.randint(4, 6)))
+        ev = ExponentVector(a)
+        for size in range(2, len(a) + 1):
+            for support in itertools.combinations(range(len(a)), size):
+                assert kappa(ev, support) == eigenvalue_count([a[i] for i in support])
+
+
+def test_middle_rank_of_eleven_sixes_in_closed_form():
+    # ((a-1)^k - (-1)^k)/a + (-1)^k with a = 6, k = 11; a per-subset walk
+    # of the 2^11-subset lattice takes minutes
+    assert full_homology(ExponentVector((6,) * 11)).middle_rank == 8138020

@@ -299,12 +299,16 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
         if kind == "sum":
             raw = payload["generator_counts"]
             pairs, cutoff, n = raw["counts"], raw["cutoff"], raw["half_dim_n"]
+            edges = [cutoff]
         else:
             sign = payload.get("character", {}).get("sign")
-            lo, cutoff = map(int, payload["ranks"]["window"])
+            lo, cutoff = edges = payload["ranks"]["window"]
             pairs, n = payload["ranks"]["ranks"], len(payload["exponents"]) - 1
-        counts = {int(d): int(c) for d, c in pairs}
-        cutoff, n = int(cutoff), int(n)
+        counts = dict(pairs)
+        numbers = (*counts, *counts.values(), *edges, n)
+        if len(counts) != len(pairs) or any(type(x) is not int for x in numbers):
+            raise ValueError("a repeated degree, or a number that is not an int (bool, float)")
+        total = GeneratorCounts(counts=counts, cutoff=cutoff, half_dim_n=n)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {kind} payload") from exc
     if kind == "ch":
@@ -328,7 +332,7 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
                 f"{path}: window starts at {lo}, so generators below it are missing;"
                 " only reports whose window starts at or below 2 can be summed"
             )
-    return GeneratorCounts(counts=counts, cutoff=cutoff, half_dim_n=n)
+    return total
 
 
 def _cmd_sum(args):

@@ -60,14 +60,7 @@ class SpecialSphereVerdict:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.is_homotopy_sphere
-            and self.low_degree_rank >= 2
-            and self.tube_degree_rank == 0
-            and not self.ranks_below
-            and self.well_defined
-            and self.index_positive
-        )
+        return not self.failing_clauses()
 
     def failing_clauses(self) -> tuple[str, ...]:
         failures = []
@@ -130,8 +123,8 @@ def special_sphere_check(primes: tuple[int, ...], report: CHReport) -> SpecialSp
     on a window covering degrees 2n-4 and 2n-3.  The no-lower-generators
     clause is checked by a fresh global scan, not limited to the window.
     """
-    a = sphere_exponents(tuple(primes))
-    if report.exponents != a:
+    a = report.exponents  # the scans below reuse the subset tables it already holds
+    if a != sphere_exponents(tuple(primes)):
         raise ValueError("report does not belong to the given primes")
     n = a.n
     lo, hi = report.ranks.window
@@ -159,8 +152,7 @@ def special_sphere_check(primes: tuple[int, ...], report: CHReport) -> SpecialSp
 def check_primes(primes: tuple[int, ...]) -> SpecialSphereVerdict:
     """Run the full pipeline on a prime tuple and audit the outcome."""
     a = sphere_exponents(tuple(primes))
-    n = a.n
-    report = ch_report(a, (0, 2 * n - 2))
+    report = ch_report(a, (0, 2 * a.n - 2))
     return special_sphere_check(tuple(primes), report)
 
 

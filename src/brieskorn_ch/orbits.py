@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import lcm_set, subsets
+from .exact import lcm_set, subsets  # unused, kept for perfbench's tracer
 from .randell import ExponentVector
 
 
@@ -31,15 +31,15 @@ class OrbitType:
 def enumerate_orbit_types(a: ExponentVector) -> list[OrbitType]:
     """All orbit types, ascending by return time.
 
-    Every index subset of size >= 2 produces a candidate return time (the
-    lcm of its exponents); distinct subsets can share one, so types are
-    keyed by the time and carry the largest generating set.
+    Every index subset of size >= 2 produces a candidate return time (its
+    lcm, read from the vector's subset table); distinct subsets can share
+    one, so types are keyed by the time and carry the largest generating set.
     """
-    times = {lcm_set(a[i] for i in sub) for sub in subsets(a.full_support, 2)}
+    times = {m for mask, m in enumerate(a.subset_lcm) if mask.bit_count() >= 2}
     types = []
     for m in sorted(times):
         J = tuple(j for j, aj in enumerate(a) if m % aj == 0)
-        assert lcm_set(a[j] for j in J) == m, "divisor set must regenerate its time"
+        assert a.subset_lcm[sum(1 << j for j in J)] == m, "divisor set must regenerate its time"
         types.append(OrbitType(m=m, J=J))
     return types
 

@@ -5,8 +5,8 @@ z_0^{a_0} + ... + z_n^{a_n} = 0, so everything topological about it is a
 function of the exponent vector (a_0, ..., a_n).  The free rank of the
 middle homology is an alternating sum of products-over-lcm terms taken
 over subsets of the exponents (Randell's kappa); it and the torsion's gcd
-recursion are Möbius transforms over one bitmask table of the subsets.
-The rational homology of the S^1-quotient orbifold follows from kappa.
+recursion are Möbius transforms over the bitmask tables of the subsets that
+each exponent vector builds once, and the orbit types and orbifolds read.
 """
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import gcd_set, lcm_set, subsets  # subsets: unused, kept for perfbench's tracer
+from .exact import gcd_set, lcm_set, subsets  # lcm_set, subsets: kept for perfbench's tracer
+
+MAX_EXPONENTS = 16  # a vector's subset tables hold 2^k entries
 
 
 class HomologyInvariantError(RuntimeError):
@@ -30,7 +33,7 @@ class ExponentVector:
     At least four exponents (so the manifold is at least 5-dimensional and
     simply connected), each at least 2: a unit exponent flattens the
     divisor bookkeeping for the orbit types and is rejected rather than
-    special-cased.
+    special-cased.  At most MAX_EXPONENTS: the subset tables grow as 2^k.
     """
 
     a: tuple[int, ...]
@@ -39,6 +42,8 @@ class ExponentVector:
         object.__setattr__(self, "a", tuple(self.a))
         if len(self.a) < 4:
             raise ValueError("need at least four exponents")
+        if len(self.a) > MAX_EXPONENTS:
+            raise ValueError(f"at most {MAX_EXPONENTS} exponents: cost grows as 2^k")
         if any(not isinstance(x, int) or x < 2 for x in self.a):
             raise ValueError("every exponent must be an integer >= 2")
 
@@ -52,7 +57,29 @@ class ExponentVector:
         return tuple(range(len(self.a)))
 
     def lcm(self) -> int:
-        return lcm_set(self.a)
+        return self.subset_lcm[-1]
+
+    @cached_property
+    def subset_lcm(self) -> list[int]:
+        """Lcm of the exponents over each index subset, by bitmask, built on first use."""
+        table = [1]  # the empty set; each exponent appends the subsets that hold it
+        for x in self.a:
+            table += [math.lcm(m, x) for m in table]
+        return table
+
+    @cached_property
+    def subset_kappa(self) -> list[int]:
+        """Kappa of each index subset, by bitmask: the additive Möbius transform
+        of prod/lcm (which gains gcd(lcm T, x) as x joins T), built on first use.
+        Entry S mixes only subsets of S, so it is kappa of S alone.
+        """
+        table = [1]
+        for x in self.a:
+            table += [f * math.gcd(m, x) for f, m in zip(table, self.subset_lcm)]
+        _moebius(table, len(self.a), operator.sub)
+        if min(table) < 0:
+            raise HomologyInvariantError(f"negative kappa on a subset of {self.a}")
+        return table
 
     def reciprocal_sum(self) -> Fraction:
         return sum((Fraction(1, x) for x in self.a), Fraction(0))
@@ -104,28 +131,9 @@ def _moebius(table: list, width: int, undo) -> list:
     return table
 
 
-def _kappa_table(values: tuple[int, ...]) -> list[int]:
-    """Kappa of every subset of `values`, indexed by bitmask.
-
-    Kappa is the Möbius transform of prod/lcm, an exact integer that is 1 on
-    the empty set; prod and lcm of S extend those of S minus its lowest bit.
-    """
-    size = 1 << len(values)
-    prod, lcm = [1] * size, [1] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        x = values[low.bit_length() - 1]
-        prod[mask] = prod[mask ^ low] * x
-        lcm[mask] = math.lcm(lcm[mask ^ low], x)
-    table = _moebius([p // m for p, m in zip(prod, lcm)], len(values), operator.sub)
-    if min(table) < 0:
-        raise HomologyInvariantError(f"negative kappa on a subset of {values}")
-    return table
-
-
 def _kappa_raw(a: ExponentVector, support: tuple[int, ...]) -> int:
     """Kappa of `support`; no size restriction on it."""
-    return _kappa_table(tuple(a[i] for i in support))[-1]
+    return a.subset_kappa[sum(1 << i for i in support)]
 
 
 def kappa(a: ExponentVector, support: tuple[int, ...]) -> int:
@@ -148,7 +156,7 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     """
     k = len(a)
     full = (1 << k) - 1
-    kap = _kappa_table(a.a)
+    kap = a.subset_kappa
     g = [Fraction(gcd_set(x for i, x in enumerate(a) if not mask >> i & 1))
          for mask in range(full)]
     factor: dict[int, int] = {}  # kappa value -> product of the C it carries

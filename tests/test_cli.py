@@ -257,10 +257,31 @@ def test_sum_refuses_an_index_negative_report(capsys, tmp_path):
     assert "unbounded below" in err
 
 
+def counts_payload(counts, cutoff=9, n=3):
+    return {"generator_counts": {"counts": counts, "cutoff": cutoff, "half_dim_n": n}}
+
+
+def ch_payload(ranks, window=(0, 12)):
+    return {"ranks": {"ranks": ranks, "window": list(window)}, "exponents": [6, 2, 2, 2]}
+
+
+# Numbers must be exact ints (no bool, no float to truncate), each degree
+# listed once (not collapsed to its last count) and every count positive.
 @pytest.mark.parametrize("payload, reason", [
     ({"generator_counts": {"counts": []}}, "malformed sum payload"),
     (["generator_counts"], "malformed envelope payload"),
     ({"ranks": {"ranks": []}, "exponents": [6, 2, 2, 2]}, "malformed ch payload"),
+    (counts_payload([[2, 1], [2, 5]]), "malformed sum payload"),
+    (counts_payload([[2.7, 1]]), "malformed sum payload"),
+    (counts_payload([[True, 1]]), "malformed sum payload"),
+    (counts_payload([[2, 1.0]]), "malformed sum payload"),
+    (counts_payload([[2, 0]]), "malformed sum payload"),
+    (counts_payload([[4, -1]]), "malformed sum payload"),
+    (counts_payload([[2, 1]], cutoff=9.0), "malformed sum payload"),
+    (counts_payload([[2, 1]], n=True), "malformed sum payload"),
+    (ch_payload([[2, 1], [2, 1]]), "malformed ch payload"),
+    (ch_payload([[2, 1]], window=(0, 12.5)), "malformed ch payload"),
+    (ch_payload([[2, 1]], window=(False, 12)), "malformed ch payload"),
 ])
 def test_sum_refuses_a_malformed_payload(capsys, tmp_path, payload, reason):
     bad = tmp_path / "bad.json"
@@ -313,3 +334,33 @@ def test_crosscheck_mismatch_exits_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal invariant failed: index mismatch")
+
+
+def test_more_than_sixteen_exponents_are_refused(capsys):
+    code, out, err = run(capsys, "homology", *["2"] * 17)
+    assert code == 1
+    assert out == ""
+    assert err == "error: at most 16 exponents: cost grows as 2^k\n"
+
+
+@pytest.mark.parametrize("argv, transforms", [
+    (["ch", "3", "5", "2", "2", "--window", "0:12"], 1),
+    (["homology", "4", "2", "2", "2"], 2),
+    (["exotic", "--primes", "3", "5"], 2),
+])
+def test_each_command_builds_one_subset_lattice(capsys, monkeypatch, argv, transforms):
+    # Möbius transforms over the subset lattice: kappa once per exponent
+    # vector, however many orbit types and scans read it, plus torsion's
+    from brieskorn_ch import randell
+
+    calls = []
+    original = randell._moebius
+
+    def counting(table, width, undo):
+        calls.append(undo)
+        return original(table, width, undo)
+
+    monkeypatch.setattr(randell, "_moebius", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == transforms

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from brieskorn_ch.randell import (
+    MAX_EXPONENTS,
     ExponentVector,
     full_homology,
     kappa,
@@ -25,6 +26,19 @@ def test_exponent_vector_rejects_short_input():
 def test_exponent_vector_rejects_unit_exponents():
     with pytest.raises(ValueError):
         ExponentVector((1, 2, 2, 2))
+
+
+def test_exponent_vector_refuses_more_than_sixteen_exponents():
+    assert len(ExponentVector((2,) * MAX_EXPONENTS)) == MAX_EXPONENTS == 16
+    with pytest.raises(ValueError, match="at most 16 exponents"):
+        ExponentVector((2,) * 17)
+
+
+def test_subset_tables_are_built_once_per_vector():
+    a = ExponentVector((3, 5, 2, 2))
+    assert a.subset_lcm is a.subset_lcm and a.subset_kappa is a.subset_kappa
+    assert a.subset_lcm[0b0011] == 15 and a.subset_lcm[0] == 1
+    assert a.subset_kappa[0b1100] == kappa(a, (2, 3)) == 1
 
 
 def test_kappa_examples():
@@ -179,3 +193,78 @@ def test_middle_rank_of_eleven_sixes_in_closed_form():
     # ((a-1)^k - (-1)^k)/a + (-1)^k with a = 6, k = 11; a per-subset walk
     # of the 2^11-subset lattice takes minutes
     assert full_homology(ExponentVector((6,) * 11)).middle_rank == 8138020
+
+
+def seifert_intersection_form(exponents):
+    """L + (-1)^n L^T, with L the Kronecker product of one (a-1)x(a-1) matrix
+    I - superdiagonal per exponent and n + 1 the number of exponents.
+
+    By Sebastiani-Thom this is the intersection form of the Milnor fibre,
+    whose cokernel is the middle homology H_{n-1} of the link: a route to
+    kappa and the torsion that shares nothing with the subset lattice.
+    """
+    L = [[1]]
+    for a in exponents:
+        block = [[(i == j) - (j == i + 1) for j in range(a - 1)] for i in range(a - 1)]
+        L = [[x * y for x in row for y in brow] for row in L for brow in block]
+    sign = (-1) ** (len(exponents) - 1)
+    return [[L[i][j] + sign * L[j][i] for j in range(len(L))] for i in range(len(L))]
+
+
+def invariant_factors(matrix):
+    """Diagonal of the Smith normal form of a square integer matrix, zeros included."""
+    A = [row[:] for row in matrix]
+    size = len(A)
+    factors = []
+    for t in range(size):
+        while True:
+            nonzero = [(abs(A[i][j]), i, j)
+                       for i in range(t, size) for j in range(t, size) if A[i][j]]
+            if not nonzero:
+                return factors + [0] * (size - t)
+            _, i, j = min(nonzero)
+            A[t], A[i] = A[i], A[t]
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+            p = A[t][t]
+            # Division with remainder clears row and column t, or leaves a
+            # remainder smaller than the pivot, which is the next pivot.
+            for i in range(t + 1, size):
+                q = A[i][t] // p
+                if q:
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+            for j in range(t + 1, size):
+                q = A[t][j] // p
+                if q:
+                    for row in A:
+                        row[j] -= q * row[t]
+            if any(A[i][t] for i in range(t + 1, size)) or any(A[t][t + 1:]):
+                continue
+            # The pivot must divide everything after it; if it does not,
+            # adding the offending row to row t brings that entry into play.
+            bad = next((i for i in range(t + 1, size) if any(x % p for x in A[i][t + 1:])), None)
+            if bad is None:
+                break
+            A[t] = [x + y for x, y in zip(A[t], A[bad])]
+        factors.append(abs(A[t][t]))
+    return factors
+
+
+def test_invariant_factors_examples():
+    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert invariant_factors([[0, 0], [0, 0]]) == [0, 0]
+    assert invariant_factors([[2, 4], [6, 8]]) == [2, 4]
+
+
+def test_rank_and_torsion_match_the_smith_normal_form_of_the_seifert_form():
+    rng = random.Random(31)
+    vectors = []
+    while len(vectors) < 30:
+        a = tuple(rng.randint(2, 7) for _ in range(rng.randint(4, 7)))
+        if math.prod(x - 1 for x in a) <= 60 and a not in vectors:
+            vectors.append(a)
+    for a in vectors + [(2, 3, 3, 3, 3), (4, 2, 2, 2), (3, 5, 2, 2), (2, 2, 3, 5, 7)]:
+        factors = invariant_factors(seifert_intersection_form(a))
+        report = full_homology(ExponentVector(a))
+        assert factors.count(0) == report.middle_rank, a
+        assert sorted(f for f in factors if f > 1) == sorted(report.torsion), a

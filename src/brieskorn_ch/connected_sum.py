@@ -16,6 +16,7 @@ running the whole pipeline, not estimated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -111,7 +112,8 @@ def sphere_exponents(primes: tuple[int, ...]) -> ExponentVector:
     """Exponent vector (p_1, ..., p_{n-1}, 2, 2) of the candidate sphere."""
     if len(primes) < 2:
         raise ValueError("need at least two odd primes (so the manifold is 5-dimensional)")
-    if any(p < 3 or p % 2 == 0 for p in primes):
+    if any(p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2))
+           for p in primes):
         raise ValueError("exponents before the two 2s must be odd primes")
     return ExponentVector(tuple(primes) + (2, 2))
 

@@ -4,8 +4,9 @@ Every orbit type contributes the rational homology of its orbit space,
 once per admissible multiplier N, at a degree shifted by the Maslov index.
 The resulting graded vector space is eventually periodic: stepping N by
 L/m (L the lcm of all exponents) shifts every degree by the same integer
-2L(sum 1/a_j - 1), which also fixes the sign of the degree growth and
-hence makes the enumeration finite on any degree window.
+2L(sum 1/a_j - 1), which also fixes the sign of the degree growth.  A scan
+visits only the N whose band of degrees meets the window, so its cost
+follows the window's width, not its position.
 
 The whole construction only exists as a contact invariant when no
 generator lands in degree -1, 0 or 1; the report carries that verdict,
@@ -14,6 +15,7 @@ checked on a window-independent scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .maslov import IndexCharacter, _index_formula, classify_index, maslov_orbit_space
@@ -90,12 +92,13 @@ def period_shift(a: ExponentVector) -> int:
     return 2 * sum(L // aj for aj in a) - 2 * L
 
 
-def _contributions(a, types, lo, hi, character):
+def _contributions(a, types, lo, hi):
     """All contributions with degree in [lo, hi], ascending by (m, N, j).
 
-    Complete: the linear degree bounds (floor(x) > x - 1 on one side,
-    floor(x) <= x on the other) cut each N-enumeration off as soon as the
-    whole tail of multiples must land outside the window.
+    Complete: every degree of the N-fold cover of a type lies in
+    [slope*N - 2, slope*N + 2(n-2)] (floor(x) > x - 1 on one side,
+    floor(x) <= x on the other, equality reachable on the principal type),
+    and only the N whose band meets the window are visited.
     """
     n = a.n
     sigma = a.reciprocal_sum()
@@ -103,15 +106,9 @@ def _contributions(a, types, lo, hi, character):
     for t in types:
         homology = orbit_space_rational_homology(a, t.J)
         base_shift = (n - 3) - (len(t.J) - 2)
-        slope = 2 * t.m * (sigma - 1)  # exact Fraction, sign = character
-        N = 1
-        while True:
-            # degree >= slope*N - 2 and degree <= slope*N + 2(n-2), with
-            # equality reachable on the principal type (no floor slack).
-            if character.is_positive and slope * N - 2 > hi:
-                break
-            if character.is_negative and slope * N + 2 * (n - 2) < lo:
-                break
+        slope = 2 * t.m * (sigma - 1)  # exact nonzero Fraction
+        first, last = sorted(((lo - 2 * (n - 2)) / slope, (hi + 2) / slope))
+        for N in range(max(1, math.ceil(first)), math.floor(last) + 1):
             if valid_multiplier(a, t, N):
                 base = _index_formula(a, t, N) + base_shift
                 for j, count in enumerate(homology.ranks):
@@ -119,7 +116,6 @@ def _contributions(a, types, lo, hi, character):
                         out.append(
                             Contribution(m=t.m, N=N, j=j, degree=base + j, count=count)
                         )
-            N += 1
     return out
 
 
@@ -130,23 +126,19 @@ def _graded(contributions, lo: int, hi: int) -> GradedRanks:
     return GradedRanks(ranks=ranks, window=(lo, hi))
 
 
-def _require_nondegenerate(a: ExponentVector) -> IndexCharacter:
+def _orbit_types(a: ExponentVector) -> tuple[IndexCharacter, list[OrbitType]]:
+    """Index character and orbit types of a nondegenerate vector: every scan's preamble."""
     character = classify_index(a)
     if character.is_degenerate:
         raise DegenerateContactFormError(
             "degree-0 orbits unavoidable: sum of reciprocal exponents equals 1"
         )
-    return character
+    return character, enumerate_orbit_types(a)
 
 
 def ch_ranks(a: ExponentVector, window: tuple[int, int]) -> GradedRanks:
     """Generator counts per degree over an inclusive window."""
-    lo, hi = window
-    if lo > hi:
-        raise ValueError("window must satisfy lo <= hi")
-    character = _require_nondegenerate(a)
-    types = enumerate_orbit_types(a)
-    return _graded(_contributions(a, types, lo, hi, character), lo, hi)
+    return ch_report(a, window).ranks
 
 
 def ranks_up_to(a: ExponentVector, hi: int) -> GradedRanks:
@@ -155,16 +147,12 @@ def ranks_up_to(a: ExponentVector, hi: int) -> GradedRanks:
     Positivity bounds all degrees from below, so the scan is finite; the
     returned window starts at that proven floor.
     """
-    character = _require_nondegenerate(a)
+    character, types = _orbit_types(a)
     if not character.is_positive:
         raise ValueError("unbounded scan: degrees are not bounded below")
-    types = enumerate_orbit_types(a)
     sigma = a.reciprocal_sum()
-    floor_bound = min(2 * t.m * (sigma - 1) for t in types) - 2
-    lo = floor_bound.numerator // floor_bound.denominator
-    if lo > hi:
-        lo = hi
-    return _graded(_contributions(a, types, lo, hi, character), lo, hi)
+    lo = min(hi, math.floor(min(2 * t.m * (sigma - 1) for t in types) - 2))
+    return _graded(_contributions(a, types, lo, hi), lo, hi)
 
 
 def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
@@ -177,10 +165,9 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
     lo, hi = window
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
-    character = _require_nondegenerate(a)
-    types = enumerate_orbit_types(a)
-    contribs = tuple(_contributions(a, types, lo, hi, character))
-    gate = _contributions(a, types, -1, 1, character)
+    character, types = _orbit_types(a)
+    contribs = tuple(_contributions(a, types, lo, hi))
+    gate = _contributions(a, types, -1, 1)
     L = a.lcm()
     return CHReport(
         exponents=a,

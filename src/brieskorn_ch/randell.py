@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import gcd_set, lcm_set, subsets  # lcm_set, subsets: kept for perfbench's tracer
+from .exact import gcd_set, lcm_set, subsets  # unused, kept for perfbench's tracer
 
 MAX_EXPONENTS = 16  # a vector's subset tables hold 2^k entries
 
@@ -65,6 +65,14 @@ class ExponentVector:
         table = [1]  # the empty set; each exponent appends the subsets that hold it
         for x in self.a:
             table += [math.lcm(m, x) for m in table]
+        return table
+
+    @cached_property
+    def subset_gcd(self) -> list[int]:
+        """Gcd of the exponents over each index subset, by bitmask (0 on the empty set)."""
+        table = [0]
+        for x in self.a:
+            table += [math.gcd(g, x) for g in table]
         return table
 
     @cached_property
@@ -157,8 +165,7 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     k = len(a)
     full = (1 << k) - 1
     kap = a.subset_kappa
-    g = [Fraction(gcd_set(x for i, x in enumerate(a) if not mask >> i & 1))
-         for mask in range(full)]
+    g = [Fraction(a.subset_gcd[full ^ mask]) for mask in range(full)]
     factor: dict[int, int] = {}  # kappa value -> product of the C it carries
     for mask, c in enumerate(_moebius(g, k, operator.truediv)):
         if c.denominator != 1:

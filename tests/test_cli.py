@@ -210,6 +210,13 @@ def test_exotic_command_failing_tuple(capsys):
     assert "failing clause" in err
 
 
+def test_exotic_refuses_composite_primes(capsys):
+    code, out, err = run(capsys, "exotic", "--primes", "9", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: exponents before the two 2s must be odd primes\n"
+
+
 def test_exotic_single_copy_reports_the_sphere_itself(capsys):
     code, envelope, _ = run_json(capsys, "exotic", "--primes", "3", "5", "--copies", "1")
     assert code == 0

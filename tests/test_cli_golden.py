@@ -37,6 +37,8 @@ CASES = [
     (["ch", "4", "4", "4", "4"], None),
     (["ch", "4", "4", "4", "4", "--format", "text"], None),
     (["ch", "2", "3", "12", "7", "--window", "0:8"], None),
+    (["ch", "6", "2", "2", "2", "--window", "100000:100012", "--provenance"], None),
+    (["ch", "7", "7", "7", "7", "--window=-100012:-100000"], None),
     (["exotic", "--primes", "3", "5", "--copies", "5"], None),
     (["exotic", "--primes", "3", "5", "--copies", "5", "--format", "text"], None),
     (["exotic", "--primes", "3", "3"], None),

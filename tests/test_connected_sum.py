@@ -98,8 +98,9 @@ def test_sphere_exponents_validation():
     assert tuple(sphere_exponents((3, 5))) == (3, 5, 2, 2)
     with pytest.raises(ValueError):
         sphere_exponents((3,))
-    with pytest.raises(ValueError):
-        sphere_exponents((4, 5))
+    for primes in [(4, 5), (9, 5), (3, 15)]:
+        with pytest.raises(ValueError, match="odd primes"):
+            sphere_exponents(primes)
 
 
 def test_special_sphere_check_first_passing_pair():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from brieskorn_ch import contact
 from brieskorn_ch.contact import (
+    Contribution,
     DegenerateContactFormError,
     ch_ranks,
     ch_report,
@@ -11,8 +13,9 @@ from brieskorn_ch.contact import (
     ranks_up_to,
     sufficient_negativity_check,
 )
+from brieskorn_ch.maslov import classify_index
 from brieskorn_ch.orbits import enumerate_orbit_types, valid_multiplier
-from brieskorn_ch.randell import ExponentVector
+from brieskorn_ch.randell import ExponentVector, orbit_space_rational_homology
 
 
 def type_with_m(a, m):
@@ -162,3 +165,63 @@ def test_sufficient_negativity_examples():
     assert not sufficient_negativity_check(ExponentVector((2, 2, 2, 2)))
     # below the rough bound yet perfectly well defined
     assert ch_report(ExponentVector((7, 7, 7, 7)), (-10, -2)).well_defined
+
+
+def brute_contributions(a, lo, hi):
+    """Reference scan: every type walks N up from 1 and stops only when the
+    linear degree bound on the side the degrees grow toward leaves the window."""
+    character = classify_index(a)
+    n, sigma = a.n, a.reciprocal_sum()
+    out = []
+    for t in enumerate_orbit_types(a):
+        homology = orbit_space_rational_homology(a, t.J)
+        slope = 2 * t.m * (sigma - 1)
+        N = 1
+        while True:
+            if character.is_positive and slope * N - 2 > hi:
+                break
+            if character.is_negative and slope * N + 2 * (n - 2) < lo:
+                break
+            if valid_multiplier(a, t, N):
+                for j, count in enumerate(homology.ranks):
+                    degree = generator_degree(a, t, N, j)
+                    if count and lo <= degree <= hi:
+                        out.append(Contribution(m=t.m, N=N, j=j, degree=degree, count=count))
+            N += 1
+    return out
+
+
+def test_scan_matches_the_walk_from_the_first_multiplier():
+    rng = random.Random(20261018)
+    signs = set()
+    checked = 0
+    while checked < 120:
+        a = ExponentVector(tuple(rng.randint(2, 8) for _ in range(rng.randint(4, 6))))
+        sign = classify_index(a).sign
+        if sign == "degenerate":
+            continue
+        signs.add(sign)
+        checked += 1
+        offset = rng.choice([0, rng.randint(-1000, 1000)])
+        window = (offset - rng.randint(0, 6), offset + rng.randint(0, 20))
+        assert ch_report(a, window).contributions == tuple(brute_contributions(a, *window)), (a, window)
+    assert signs == {"positive", "negative"}
+
+
+@pytest.mark.parametrize("exponents, window, ranks", [
+    ((6, 2, 2, 2), (10**6, 10**6 + 20), lambda d: 2),
+    ((7, 7, 7, 7), (-10**6 - 20, -10**6), lambda d: 187 if d % 6 == 0 else 1),
+])
+def test_scan_cost_follows_the_window_not_its_position(monkeypatch, exponents, window, ranks):
+    calls = []
+    original = contact.valid_multiplier
+
+    def counting(a, t, N):
+        calls.append(N)
+        return original(a, t, N)
+
+    monkeypatch.setattr(contact, "valid_multiplier", counting)
+    report = ch_report(ExponentVector(exponents), window)
+    assert len(calls) <= 50
+    lo, hi = window
+    assert dict(report.ranks.items()) == {d: ranks(d) for d in range(lo, hi + 1, 2)}

@@ -37,8 +37,12 @@ def test_exponent_vector_refuses_more_than_sixteen_exponents():
 def test_subset_tables_are_built_once_per_vector():
     a = ExponentVector((3, 5, 2, 2))
     assert a.subset_lcm is a.subset_lcm and a.subset_kappa is a.subset_kappa
+    assert a.subset_gcd is a.subset_gcd
     assert a.subset_lcm[0b0011] == 15 and a.subset_lcm[0] == 1
     assert a.subset_kappa[0b1100] == kappa(a, (2, 3)) == 1
+    for b in (a, ExponentVector((12, 8, 18, 6, 9))):
+        for mask, g in enumerate(b.subset_gcd):
+            assert g == math.gcd(*(x for i, x in enumerate(b) if mask >> i & 1)), (b, mask)
 
 
 def test_kappa_examples():

@@ -16,7 +16,6 @@ running the whole pipeline, not estimated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
@@ -108,12 +107,43 @@ def iterated_sphere_sum(sphere: GeneratorCounts, r: int) -> GeneratorCounts:
     return reduce(combine, [sphere] * r)
 
 
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly below PRIME_BOUND (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_odd_prime(p: int) -> bool:
+    """Exact for 3 <= p < PRIME_BOUND: one modular power per base."""
+    if p < 3 or p % 2 == 0:
+        return False
+    if p in _PRIME_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _PRIME_BASES:
+        x = pow(base, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # `base` witnesses that p is composite
+    return True
+
+
 def sphere_exponents(primes: tuple[int, ...]) -> ExponentVector:
     """Exponent vector (p_1, ..., p_{n-1}, 2, 2) of the candidate sphere."""
     if len(primes) < 2:
         raise ValueError("need at least two odd primes (so the manifold is 5-dimensional)")
-    if any(p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2))
-           for p in primes):
+    if any(p >= PRIME_BOUND for p in primes):
+        raise ValueError(
+            f"primes must be below {PRIME_BOUND}, where the primality test stops being exact"
+        )
+    if not all(_is_odd_prime(p) for p in primes):
         raise ValueError("exponents before the two 2s must be odd primes")
     return ExponentVector(tuple(primes) + (2, 2))
 

@@ -52,6 +52,13 @@ def classify_index(a: ExponentVector) -> IndexCharacter:
     return IndexCharacter(sign=sign, reciprocal_sum=total)
 
 
+def _unitary(num: int, den: int) -> int:
+    # Index of the rotation through num/den > 0 turns: 2q when it closes
+    # up (r = 0), 2q + 1 otherwise.
+    q, r = divmod(num, den)
+    return 2 * q + (r != 0)
+
+
 def maslov_unitary(turns: Fraction | int) -> int:
     """Index of a unitary rotation path through `turns` full revolutions.
 
@@ -62,9 +69,7 @@ def maslov_unitary(turns: Fraction | int) -> int:
     turns = Fraction(turns)
     if turns <= 0:
         raise ValueError("rotation angle must be positive")
-    if turns.denominator == 1:
-        return 2 * int(turns)
-    return 2 * (turns.numerator // turns.denominator) + 1
+    return _unitary(turns.numerator, turns.denominator)
 
 
 def _index_formula(a: ExponentVector, t: OrbitType, N: int) -> int:
@@ -101,5 +106,4 @@ def maslov_crosscheck(a: ExponentVector, t: OrbitType, N: int) -> int:
     if N < 1:
         raise ValueError("multiplier must be a positive integer")
     total = N * t.m
-    ambient = sum(maslov_unitary(Fraction(total, aj)) for aj in a)
-    return ambient - maslov_unitary(total)
+    return sum(_unitary(total, aj) for aj in a) - _unitary(total, 1)

@@ -11,6 +11,7 @@ but both views are used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact import lcm_set, subsets  # unused, kept for perfbench's tracer
 from .randell import ExponentVector
@@ -53,5 +54,13 @@ def valid_multiplier(a: ExponentVector, t: OrbitType, N: int) -> bool:
     if N < 1:
         raise ValueError("multiplier must be a positive integer")
     total = N * t.m
-    inside = set(t.J)
-    return all(total % aj for j, aj in enumerate(a) if j not in inside)
+    for aj in _outside(a.a, t.J):
+        if total % aj == 0:
+            return False
+    return True
+
+
+@lru_cache(maxsize=1024)
+def _outside(a: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, ...]:
+    """The exponents whose index is not in J: what every validity test of a type reads."""
+    return tuple(aj for j, aj in enumerate(a) if j not in J)

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from brieskorn_ch import cli
 from brieskorn_ch.cli import main
 
 
@@ -217,6 +219,16 @@ def test_exotic_refuses_composite_primes(capsys):
     assert err == "error: exponents before the two 2s must be odd primes\n"
 
 
+def test_exotic_refuses_primes_beyond_the_exact_test(capsys):
+    code, out, err = run(capsys, "exotic", "--primes", "3", str(2**89 - 1))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: primes must be below 3317044064679887385961981,"
+        " where the primality test stops being exact\n"
+    )
+
+
 def test_exotic_single_copy_reports_the_sphere_itself(capsys):
     code, envelope, _ = run_json(capsys, "exotic", "--primes", "3", "5", "--copies", "1")
     assert code == 0
@@ -371,3 +383,79 @@ def test_each_command_builds_one_subset_lattice(capsys, monkeypatch, argv, trans
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == transforms
+
+
+def test_crosscheck_checks_each_index_once(capsys, monkeypatch):
+    # the index depends on (m, N) only: 10 contributions, 5 distinct pairs
+    calls = []
+    original = cli.maslov_crosscheck
+
+    def counting(a, t, N):
+        calls.append((t.m, N))
+        return original(a, t, N)
+
+    monkeypatch.setattr(cli, "maslov_crosscheck", counting)
+    code, envelope, err = run_json(
+        capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--provenance", "--crosscheck"
+    )
+    assert code == 0
+    contributions = envelope["payload"]["contributions"]
+    assert len(contributions) == 10
+    assert calls == list(dict.fromkeys((c["m"], c["N"]) for c in contributions))
+    assert len(calls) == 5
+    assert "crosscheck: 10 contributions verified by both routes\n" in err
+
+
+def test_one_parser_serves_repeated_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    calls = [["ch"], ["ch", "6", "2", "2", "2", "--window", "0:12"], ["ch"]]
+    repeated = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert repeated == fresh
+    assert repeated[0][0] == 1 and repeated[0][1] == ""
+    assert repeated[0] == repeated[2]
+
+
+def writer_cases(rng, sum_files):
+    """Seeded argv lists covering every envelope shape the CLI writes."""
+    for _ in range(300):
+        exponents = [str(rng.randint(2, 9)) for _ in range(rng.randint(4, 6))]
+        lo = rng.choice([0, -rng.randint(0, 400), rng.randint(0, 400)])
+        argv = ["ch", *exponents, f"--window={lo}:{lo + rng.randint(0, 40)}", "--provenance"]
+        yield argv + ["--crosscheck"] * (rng.random() < 0.3)
+    for _ in range(50):
+        yield ["homology", *(str(rng.randint(2, 8)) for _ in range(rng.randint(4, 6)))]
+    for _ in range(20):
+        primes = [str(rng.choice([3, 5, 7, 11, 13])) for _ in range(rng.randint(2, 3))]
+        yield ["exotic", "--primes", *primes, "--copies", str(rng.randint(1, 5))]
+    for _ in range(20):
+        yield ["sum", *rng.sample(sum_files, rng.randint(1, 3))]
+    for _ in range(20):
+        yield ["ch", *(str(rng.randint(2, 5)) for _ in range(4)), "--window", "0:6"]
+    yield ["ch", "4", "4", "4", "4"]
+    yield ["ch", "6", "3", "3", "3"]
+    yield ["homology", "4", "2", "2", "2"]
+    yield ["exotic", "--primes", "3", "3"]
+
+
+def test_writer_matches_the_indented_json_encoder(capsys, tmp_path):
+    sum_files = []
+    for window in ("0:12", "2:20", "0:30"):
+        code, out, _ = run(capsys, "ch", "6", "2", "2", "2", "--window", window)
+        sum_files.append(tmp_path / f"ch{len(sum_files)}.json")
+        sum_files[-1].write_text(out)
+    sum_files = [str(path) for path in sum_files]
+    codes = set()
+    cases = list(writer_cases(random.Random(6), sum_files))
+    assert len(cases) >= 400
+    for argv in cases:
+        code, out, _ = run(capsys, *argv)
+        codes.add(code)
+        value = json.loads(out)
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2) == out[:-1]
+    assert codes == {0, 2, 3, 4}  # success, degenerate, not well defined, failing sphere
+    for value in ({}, [], {"a": {}, "b": [[], {}]}, [None, True, False, "S²×S³", -7]):
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from brieskorn_ch import connected_sum
 from brieskorn_ch.connected_sum import (
     GeneratorCounts,
     beta,
@@ -101,6 +102,34 @@ def test_sphere_exponents_validation():
     for primes in [(4, 5), (9, 5), (3, 15)]:
         with pytest.raises(ValueError, match="odd primes"):
             sphere_exponents(primes)
+
+
+# Strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up
+# to 23: composites that fewer bases would pass as prime.
+@pytest.mark.parametrize("composite", [3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_are_refused(composite):
+    with pytest.raises(ValueError, match="odd primes"):
+        sphere_exponents((3, composite))
+
+
+def test_large_primes_cost_one_modular_power_per_base(monkeypatch):
+    # 2^61 - 1 is prime; trial division would need about 7.6e8 steps for it
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(connected_sum, "pow", counting, raising=False)
+    mersenne = 2**61 - 1
+    assert tuple(sphere_exponents((3, mersenne))) == (3, mersenne, 2, 2)
+    assert 0 < len(calls) <= 2 * 13
+
+
+def test_entries_beyond_the_exact_primality_bound_are_refused():
+    assert connected_sum.PRIME_BOUND == 3_317_044_064_679_887_385_961_981
+    with pytest.raises(ValueError, match="primes must be below"):
+        sphere_exponents((3, 2**89 - 1))  # prime, but above the bound
 
 
 def test_special_sphere_check_first_passing_pair():

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate
@@ -39,7 +39,7 @@ from .connected_sum import (
     special_sphere_check,
     sphere_exponents,
 )
-from .contact import CHReport, DegenerateContactFormError, ch_report, period_shift
+from .contact import CHReport, DegenerateContactFormError, GradedRanks, ch_report, period_shift
 from .maslov import classify_index, maslov_crosscheck, maslov_orbit_space
 from .orbits import OrbitType, enumerate_orbit_types
 from .randell import ExponentVector, HomologyInvariantError, HomologyReport, full_homology
@@ -92,6 +92,8 @@ _OVERRIDES = {
     SpecialSphereVerdict: ((), lambda v: {
         "passed": v.passed, "failing_clauses": list(v.failing_clauses()),
     }),
+    # Contributions are converted only when asked for: there can be hundreds.
+    CHReport: (("contributions",), lambda r: {}),
 }
 
 
@@ -143,7 +145,7 @@ def _dumps(value, pad: str = "\n") -> str:
         items = [f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
                  for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list:
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = pad + "  "
@@ -229,11 +231,12 @@ def _render_text(envelope: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (payload, input echo, diagnostics, exit code)
+# commands: each returns (payload, diagnostics, exit code); `main` echoes
+# the arguments, so a command that resolves a default writes it to `args`
 
 def _cmd_homology(args):
     a = ExponentVector(tuple(args.exponents))
-    return json_value(full_homology(a)), {"exponents": list(a)}, [], EXIT_OK
+    return json_value(full_homology(a)), [], EXIT_OK
 
 
 def _cmd_orbits(args):
@@ -249,7 +252,7 @@ def _cmd_orbits(args):
         diagnostics.append(
             "character is degenerate; contact homology is not defined for this input"
         )
-    return payload, {"exponents": list(a)}, diagnostics, EXIT_OK
+    return payload, diagnostics, EXIT_OK
 
 
 def _default_window(a: ExponentVector) -> tuple[int, int]:
@@ -274,22 +277,17 @@ def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
 
 def _cmd_ch(args):
     a = ExponentVector(tuple(args.exponents))
-    window = args.window if args.window is not None else _default_window(a)
-    input_echo = {
-        "exponents": list(a),
-        "window": list(window),
-        "provenance": bool(args.provenance),
-        "crosscheck": bool(args.crosscheck),
-    }
+    if args.window is None:
+        args.window = _default_window(a)
     try:
-        report = ch_report(a, window)
+        report = ch_report(a, args.window)
     except DegenerateContactFormError as exc:
         payload = {
             "exponents": list(a),
             "error": "degenerate",
             "character": json_value(classify_index(a)),
         }
-        return payload, input_echo, [str(exc)], EXIT_DEGENERATE
+        return payload, [str(exc)], EXIT_DEGENERATE
 
     diagnostics = []
     if args.crosscheck:
@@ -303,13 +301,11 @@ def _cmd_ch(args):
         diagnostics.append(
             "generators in degree -1, 0 or 1: not an invariant of the contact structure"
         )
-    # Contributions are converted only when asked for: there can be hundreds.
-    payload = json_value(replace(report, contributions=()))
-    del payload["contributions"]
+    payload = json_value(report)
     if args.provenance:
         payload["contributions"] = json_value(report.contributions)
     code = EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
-    return payload, input_echo, diagnostics, code
+    return payload, diagnostics, code
 
 
 def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
@@ -324,20 +320,24 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
         kind = "ch"
     else:
         raise ValueError(f"{path}: envelope carries no generator counts")
+    # JSON adds two faults the report types cannot see: a number that is
+    # not an exact int, and a degree listed twice.  The types refuse the rest.
     try:
         if kind == "sum":
             raw = payload["generator_counts"]
-            pairs, cutoff, n = raw["counts"], raw["cutoff"], raw["half_dim_n"]
-            edges = [cutoff]
+            pairs, edges, n = raw["counts"], (raw["cutoff"],), raw["half_dim_n"]
         else:
             sign = payload.get("character", {}).get("sign")
-            lo, cutoff = edges = payload["ranks"]["window"]
-            pairs, n = payload["ranks"]["ranks"], len(payload["exponents"]) - 1
+            pairs, edges = payload["ranks"]["ranks"], tuple(payload["ranks"]["window"])
+            n = ExponentVector(tuple(payload["exponents"])).n
         counts = dict(pairs)
         numbers = (*counts, *counts.values(), *edges, n)
         if len(counts) != len(pairs) or any(type(x) is not int for x in numbers):
             raise ValueError("a repeated degree, or a number that is not an int (bool, float)")
-        total = GeneratorCounts(counts=counts, cutoff=cutoff, half_dim_n=n)
+        if kind == "sum":
+            total = GeneratorCounts(counts=counts, cutoff=edges[0], half_dim_n=n)
+        else:
+            total = GeneratorCounts.of_ranks(GradedRanks(ranks=counts, window=edges), n)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {kind} payload") from exc
     if kind == "ch":
@@ -356,9 +356,9 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
         # Such a report has every generator in degree 2 or above (degrees
         # are >= -1 and none lie in -1, 0, 1), so a window starting at or
         # below 2 misses none of them.
-        if lo > 2:
+        if edges[0] > 2:
             raise ValueError(
-                f"{path}: window starts at {lo}, so generators below it are missing;"
+                f"{path}: window starts at {edges[0]}, so generators below it are missing;"
                 " only reports whose window starts at or below 2 can be summed"
             )
     return total
@@ -392,28 +392,25 @@ def _cmd_sum(args):
             cutoff=cutoff,
             half_dim_n=total.half_dim_n,
         )
-    input_echo = {"files": list(args.files), "beta_n": args.beta_n, "cutoff": args.cutoff}
-    return {"generator_counts": json_value(total)}, input_echo, [], EXIT_OK
+    return {"generator_counts": json_value(total)}, [], EXIT_OK
 
 
 def _cmd_exotic(args):
     primes = tuple(args.primes)
     a = sphere_exponents(primes)
     n = a.n
-    window = args.window if args.window is not None else (0, 2 * n - 2)
-    if not (window[0] <= 2 * n - 4 and 2 * n - 3 <= window[1]):
+    if args.window is None:
+        args.window = (0, 2 * n - 2)
+    if not (args.window[0] <= 2 * n - 4 and 2 * n - 3 <= args.window[1]):
         raise ValueError("window must cover degrees 2n-4 and 2n-3")
-    input_echo = {"primes": list(primes), "copies": args.copies, "window": list(window)}
     # Two exponents are 2, so the character is never degenerate here.
-    report = ch_report(a, window)
+    report = ch_report(a, args.window)
     verdict = special_sphere_check(primes, report)
     if not verdict.passed:
         diagnostics = [f"failing clause: {c}" for c in verdict.failing_clauses()]
-        return {"verdict": json_value(verdict)}, input_echo, diagnostics, EXIT_SPHERE_CHECK
+        return {"verdict": json_value(verdict)}, diagnostics, EXIT_SPHERE_CHECK
 
-    sphere = GeneratorCounts(
-        counts=dict(report.ranks.ranks), cutoff=report.ranks.window[1], half_dim_n=n
-    )
+    sphere = GeneratorCounts.of_ranks(report.ranks, n)
     # Row r is the r-fold self-sum, so all rows come from one running left
     # fold, the same fold iterated_sphere_sum(sphere, r) does.
     folds = list(accumulate([sphere] * args.copies, combine))
@@ -428,7 +425,7 @@ def _cmd_exotic(args):
         "final_counts": json_value(folds[-1]),
     }
     diagnostics = ["degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"]
-    return payload, input_echo, diagnostics, EXIT_OK
+    return payload, diagnostics, EXIT_OK
 
 
 @cache  # parsing leaves the parser as it was, so one serves every call
@@ -470,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, input_echo, diagnostics, code = args.func(args)
+        payload, diagnostics, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -480,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "input": input_echo,
+        "input": {k: v for k, v in vars(args).items() if k not in ("command", "func", "format")},
         "payload": payload,
         "diagnostics": diagnostics,
     }

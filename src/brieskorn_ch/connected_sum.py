@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
 
-from .contact import CHReport, ch_report, ranks_up_to
+from .contact import CHReport, GradedRanks, ch_report, ranks_up_to
 from .randell import ExponentVector, full_homology
 
 
@@ -33,11 +33,18 @@ class GeneratorCounts:
     half_dim_n: int
 
     def __post_init__(self):
+        if self.half_dim_n < 3:
+            raise ValueError("need half-dimension n >= 3")
         for degree, count in self.counts.items():
             if degree > self.cutoff:
                 raise ValueError("count recorded above the cutoff")
             if count <= 0:
                 raise ValueError("counts must be positive where present")
+
+    @classmethod
+    def of_ranks(cls, ranks: GradedRanks, n: int) -> GeneratorCounts:
+        """A report's ranks as a summand, trusted up to the top of its window."""
+        return cls(counts=dict(ranks.ranks), cutoff=ranks.window[1], half_dim_n=n)
 
     def __getitem__(self, degree: int) -> int:
         return self.counts.get(degree, 0)
@@ -188,14 +195,6 @@ def check_primes(primes: tuple[int, ...]) -> SpecialSphereVerdict:
     return special_sphere_check(tuple(primes), report)
 
 
-def _odd_primes_up_to(bound: int) -> list[int]:
-    primes = []
-    for q in range(3, bound + 1, 2):
-        if all(q % p for p in primes):
-            primes.append(q)
-    return primes
-
-
 def find_special_primes(n: int, search_bound: int) -> tuple[int, ...] | None:
     """Lexicographically least passing tuple of odd primes <= search_bound.
 
@@ -204,7 +203,8 @@ def find_special_primes(n: int, search_bound: int) -> tuple[int, ...] | None:
     """
     if n < 3:
         raise ValueError("need half-dimension n >= 3")
-    for primes in combinations_with_replacement(_odd_primes_up_to(search_bound), n - 1):
+    candidates = filter(_is_odd_prime, range(search_bound + 1))
+    for primes in combinations_with_replacement(candidates, n - 1):
         if check_primes(primes).passed:
             return primes
     return None

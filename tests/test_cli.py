@@ -284,6 +284,12 @@ def ch_payload(ranks, window=(0, 12)):
     return {"ranks": {"ranks": ranks, "window": list(window)}, "exponents": [6, 2, 2, 2]}
 
 
+def summable_ch_payload(ranks, window=(0, 12), exponents=(6, 2, 2, 2)):
+    # well defined and index-positive, so only the payload's shape can refuse it
+    return {**ch_payload(ranks, window), "exponents": exponents,
+            "well_defined": True, "character": {"sign": "positive"}}
+
+
 # Numbers must be exact ints (no bool, no float to truncate), each degree
 # listed once (not collapsed to its last count) and every count positive.
 @pytest.mark.parametrize("payload, reason", [
@@ -301,6 +307,13 @@ def ch_payload(ranks, window=(0, 12)):
     (ch_payload([[2, 1], [2, 1]]), "malformed ch payload"),
     (ch_payload([[2, 1]], window=(0, 12.5)), "malformed ch payload"),
     (ch_payload([[2, 1]], window=(False, 12)), "malformed ch payload"),
+    (summable_ch_payload([[2, 1]], exponents="abcd"), "malformed ch payload"),
+    (summable_ch_payload([[2, 1]], exponents=[6, 2, 2]), "malformed ch payload"),
+    (summable_ch_payload([[2, 1]], exponents=[6.5, 2, 2, 2]), "malformed ch payload"),
+    (summable_ch_payload([], window=(0, -3)), "malformed ch payload"),
+    (summable_ch_payload([[0, 1]], window=(2, 12)), "malformed ch payload"),
+    (counts_payload([[2, 1]], n=-5), "malformed sum payload"),
+    (counts_payload([[2, 1]], n=1), "malformed sum payload"),
 ])
 def test_sum_refuses_a_malformed_payload(capsys, tmp_path, payload, reason):
     bad = tmp_path / "bad.json"
@@ -309,6 +322,43 @@ def test_sum_refuses_a_malformed_payload(capsys, tmp_path, payload, reason):
     assert code == 1
     assert out == ""
     assert err == f"error: {bad}: {reason}\n"
+
+
+def test_sum_reads_back_every_summable_envelope_the_cli_writes(capsys, tmp_path):
+    # The reader refuses what the report types refuse; nothing the writer
+    # emits as summable may be among it.  A file summed alone is its counts.
+    rng = random.Random(7)
+    written = {}  # path -> (half-dimension, generator counts it holds)
+    for i in range(300):
+        exponents = [str(rng.randint(2, 9)) for _ in range(rng.randint(4, 6))]
+        lo = rng.randint(-3, 2)
+        window = f"--window={lo}:{lo + rng.randint(0, 40)}"
+        code, out, _ = run(capsys, "ch", *exponents, window)
+        payload = json.loads(out)["payload"]
+        if code != 0 or payload["character"]["sign"] != "positive":
+            continue
+        ranks = payload["ranks"]
+        path = tmp_path / f"ch{i}.json"
+        path.write_text(out)
+        n = len(exponents) - 1
+        written[str(path)] = n, {"counts": ranks["ranks"], "cutoff": ranks["window"][1],
+                                 "half_dim_n": n}
+    ch_files = list(written)
+    for i in range(30):
+        n = rng.choice([written[path][0] for path in ch_files])
+        same_n = [path for path in ch_files if written[path][0] == n]
+        argv = ["sum", *rng.choices(same_n, k=rng.randint(1, 3))]
+        argv += ["--cutoff", str(rng.randint(0, 30))] * (rng.random() < 0.5)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        path = tmp_path / f"sum{i}.json"
+        path.write_text(out)
+        written[str(path)] = n, json.loads(out)["payload"]["generator_counts"]
+    assert len(ch_files) >= 40
+    for path, (_, counts) in written.items():
+        code, envelope, _ = run_json(capsys, "sum", path)
+        assert code == 0, path
+        assert envelope["payload"]["generator_counts"] == counts, path
 
 
 def test_sum_refuses_a_window_that_starts_above_degree_two(capsys, tmp_path):

@@ -46,6 +46,11 @@ CASES = [
     (["sum", "ch.json", "ch.json"], "sum.json"),
     (["sum", "ch.json", "sum.json", "--cutoff", "9"], None),
     (["sum", "ch.json", "sum.json", "--cutoff", "9", "--format", "text"], None),
+    (["homology", "2", "2", "2", "2", "2", "--format", "text"], None),
+    (["homology", "7", "7", "7", "7", "--format", "text"], None),
+    (["orbits", "4", "4", "4", "4", "--format", "text"], None),
+    (["ch", "2", "3", "12", "7", "--window", "0:8", "--format", "text"], None),
+    (["exotic", "--primes", "3", "3", "--format", "text"], None),
 ]
 
 

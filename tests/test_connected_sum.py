@@ -72,6 +72,8 @@ def test_counts_reject_entries_above_cutoff():
         GeneratorCounts(counts={10: 1}, cutoff=9, half_dim_n=3)
     with pytest.raises(ValueError):
         GeneratorCounts(counts={2: 0}, cutoff=9, half_dim_n=3)
+    with pytest.raises(ValueError, match="half-dimension"):
+        GeneratorCounts(counts={}, cutoff=9, half_dim_n=2)
 
 
 def test_iterated_sum_examples():

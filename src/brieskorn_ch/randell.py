@@ -4,15 +4,25 @@ A Brieskorn manifold is cut out of the unit sphere in C^(n+1) by
 z_0^{a_0} + ... + z_n^{a_n} = 0, so everything topological about it is a
 function of the exponent vector (a_0, ..., a_n).  The free rank of the
 middle homology is an alternating sum of products-over-lcm terms taken
-over subsets of the exponents (Randell's kappa); it and the torsion's gcd
-recursion are Möbius transforms over the bitmask tables of the subsets that
-each exponent vector builds once, and the orbit types and orbifolds read.
+over subsets of the exponents (Randell's kappa), an additive Möbius
+transform over the bitmask tables of the subsets that each exponent vector
+builds once, and the orbit types and orbifolds read.  The torsion's factor
+C(S) is the multiplicative Möbius transform of the complement gcds, which
+has a closed form in integers: with K the complement of S,
+
+    C(S) = gcd(a_K) / lcm_{j in S} gcd(a_{K + j}).
+
+Per prime p, let A_t = {i : p^t | a_i}.  The exponent of p in gcd(a_T) is
+min over T of v_p(a_i), the number of t >= 1 with T inside A_t, so its
+Möbius transform counts the t with A_t = K exactly: those with K inside
+A_t (v_p of gcd(a_K)) less those with some K + j inside A_t.  The A_t
+shrink as t grows, so the latter are the first max_j v_p(gcd(a_{K + j}))
+values of t, and that max is v_p of the lcm.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -84,7 +94,7 @@ class ExponentVector:
         table = [1]
         for x in self.a:
             table += [f * math.gcd(m, x) for f, m in zip(table, self.subset_lcm)]
-        _moebius(table, len(self.a), operator.sub)
+        _moebius(table, len(self.a))
         if min(table) < 0:
             raise HomologyInvariantError(f"negative kappa on a subset of {self.a}")
         return table
@@ -126,16 +136,16 @@ class OrbitSpaceHomology:
             raise ValueError("ranks must cover degrees 0..dimension")
 
 
-def _moebius(table: list, width: int, undo) -> list:
-    """Turn table[S] = sum (or product) of f(T) over T ⊆ S into f(S), in place.
+def _moebius(table: list[int], width: int) -> list[int]:
+    """Turn table[S] = sum of f(T) over T ⊆ S into f(S), in place.
 
-    `undo` takes one term back out; masks run over `width` bits, below len(table).
+    Masks run over `width` bits, below len(table).
     """
     for i in range(width):
         bit = 1 << i
         for mask in range(bit, len(table)):
             if mask & bit:
-                table[mask] = undo(table[mask], table[mask ^ bit])
+                table[mask] -= table[mask ^ bit]
     return table
 
 
@@ -159,20 +169,31 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
 
     d_j is the product of C(S) over the proper subsets S with an odd
     complement and kappa(S) >= j, so it changes only where j passes such a
-    kappa; trivial factors 1 are dropped.  C is the multiplicative Möbius
-    transform of gcd(a_i : i not in S), in exact rationals checked integral.
+    kappa; trivial factors 1 are dropped.  C(S) is the multiplicative Möbius
+    transform of gcd(a_i : i not in S), in closed form the gcd of the
+    complement K over the lcm of the gcds of K + j for j in S (see the
+    module docstring); the lcm is checked to divide the gcd on every S.
     """
     k = len(a)
     full = (1 << k) - 1
     kap = a.subset_kappa
-    g = [Fraction(a.subset_gcd[full ^ mask]) for mask in range(full)]
+    comp = a.subset_gcd[::-1]  # comp[S] = gcd of the exponents outside S
+    lcm = math.lcm
     factor: dict[int, int] = {}  # kappa value -> product of the C it carries
-    for mask, c in enumerate(_moebius(g, k, operator.truediv)):
-        if c.denominator != 1:
+    for mask in range(full):
+        den, rest = 1, mask
+        while rest:
+            bit = rest & -rest
+            den = lcm(den, comp[mask ^ bit])
+            rest ^= bit
+        c, r = divmod(comp[mask], den)
+        if r:
             sub = tuple(i for i in range(k) if mask >> i & 1)
-            raise HomologyInvariantError(f"C{sub} = {c} is not integral for {tuple(a)}")
+            raise HomologyInvariantError(
+                f"C{sub} = {comp[mask]}/{den} is not integral for {tuple(a)}"
+            )
         if (k - mask.bit_count()) % 2 == 1 and kap[mask] > 0:
-            factor[kap[mask]] = factor.get(kap[mask], 1) * int(c)
+            factor[kap[mask]] = factor.get(kap[mask], 1) * c
 
     # d_j as (order, run length) runs for j = 1, 2, ...
     levels = sorted(factor)

@@ -5,15 +5,18 @@ from collections import Counter
 
 import pytest
 
+from brieskorn_ch import randell
 from brieskorn_ch.randell import (
     MAX_EXPONENTS,
     ExponentVector,
+    HomologyInvariantError,
+    HomologyReport,
     full_homology,
     kappa,
     orbit_space_rational_homology,
     torsion,
 )
-from randell_oracle import kappa_oracle, torsion_oracle
+from randell_oracle import c_oracle, c_prime_power_oracle, kappa_oracle, torsion_oracle
 
 ALL = (0, 1, 2, 3)
 
@@ -147,6 +150,59 @@ def test_kappa_closed_form_equal_exponents():
             ev = ExponentVector((k,) * max(s, 4))
             expected = ((k - 1) ** s - (-1) ** s) // k + (-1) ** s
             assert kappa(ev, tuple(range(s))) == expected
+
+
+def test_torsion_matches_both_oracles_where_exponents_share_prime_powers():
+    # The closed-form C(S) is most at risk where several exponents share
+    # higher powers of 2 and 3; entries 2-9 rarely do.  The torsion tuple
+    # is as long as the largest odd-complement kappa, so big ones are skipped.
+    rng = random.Random(41)
+    entries = (4, 8, 9, 12, 16, 18, 24, 27, 36)
+    checked = 0
+    while checked < 50:
+        a = tuple(rng.choice(entries) for _ in range(rng.randint(4, 7)))
+        ev = ExponentVector(a)
+        k = len(a)
+        if max(ev.subset_kappa[m] for m in range(1 << k) if (k - m.bit_count()) % 2) > 20_000:
+            continue
+        assert torsion(ev) == torsion_oracle(a), a
+        assert c_prime_power_oracle(a) == c_oracle(a), a
+        checked += 1
+
+
+def test_torsion_refuses_a_non_integral_factor():
+    # gcd(4, 2, 2, 2) = 2 written as 6: C({0}) = gcd(2, 2, 2) / 6
+    table = list(ExponentVector((4, 2, 2, 2)).subset_gcd)
+    table[-1] *= 3
+    fresh = ExponentVector((4, 2, 2, 2))
+    fresh.__dict__["subset_gcd"] = table
+    with pytest.raises(HomologyInvariantError, match=r"C\(0,\) = 2/6 is not integral"):
+        torsion(fresh)
+
+
+def test_full_homology_does_no_rational_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction used")
+
+    monkeypatch.setattr(randell, "Fraction", refuse)
+    a = ExponentVector((2, 3, 4, 2, 3, 4, 6))
+    assert full_homology(a) == HomologyReport(
+        exponents=a,
+        middle_rank=14,
+        torsion=(6, 6, 3),
+        full_graded={0: (1, ()), 5: (14, (6, 6, 3)), 6: (14, ()), 11: (1, ())},
+        homotopy_sphere=False,
+        description="Brieskorn manifold (unclassified)",
+    )
+    a = ExponentVector((2, 2, 3, 3, 4, 2, 6, 2, 3))
+    assert full_homology(a) == HomologyReport(
+        exponents=a,
+        middle_rank=8,
+        torsion=(2,) * 6,
+        full_graded={0: (1, ()), 7: (8, (2,) * 6), 8: (8, ()), 15: (1, ())},
+        homotopy_sphere=False,
+        description="Brieskorn manifold (unclassified)",
+    )
 
 
 def test_torsion_divisibility_chain():

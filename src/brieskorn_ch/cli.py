@@ -92,8 +92,8 @@ _OVERRIDES = {
     SpecialSphereVerdict: ((), lambda v: {
         "passed": v.passed, "failing_clauses": list(v.failing_clauses()),
     }),
-    # Contributions are converted only when asked for: there can be hundreds.
-    CHReport: (("contributions",), lambda r: {}),
+    # Rows are written only when asked for: there can be thousands.
+    CHReport: (("rows",), lambda r: {}),
 }
 
 
@@ -264,15 +264,29 @@ def _default_window(a: ExponentVector) -> tuple[int, int]:
 
 
 def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
-    # The index depends on (m, N) only, so each pair is checked once,
-    # however many homology degrees j it contributes.
+    # The index depends on (m, N) only, so each pair is checked once by
+    # both routes; every row's degree must then sit at that index.
     types = {t.m: t for t in enumerate_orbit_types(a)}
-    for m, N in dict.fromkeys((c.m, c.N) for c in report.contributions):
-        direct = maslov_orbit_space(a, types[m], N)
-        indirect = maslov_crosscheck(a, types[m], N)
-        if direct != indirect:
-            raise _CrosscheckError(f"index mismatch for m={m}, N={N}: {direct} != {indirect}")
-    return len(report.contributions)
+    indices: dict[tuple[int, int], int] = {}
+    for m, N, j, degree, _ in report.rows:
+        if (m, N) not in indices:
+            try:  # `maslov_orbit_space` refuses an N whose iterate leaves the type
+                direct = maslov_orbit_space(a, types[m], N)
+            except (KeyError, ValueError) as exc:
+                raise _CrosscheckError(
+                    f"row at m={m}, N={N} is not an iterate of an orbit type"
+                ) from exc
+            indirect = maslov_crosscheck(a, types[m], N)
+            if direct != indirect:
+                raise _CrosscheckError(f"index mismatch for m={m}, N={N}: {direct} != {indirect}")
+            indices[m, N] = direct
+        scanned = degree - j - ((a.n - 3) - (len(types[m].J) - 2))
+        if scanned != indices[m, N]:
+            raise _CrosscheckError(
+                f"degree {degree} at m={m}, N={N}, j={j} puts the index at {scanned},"
+                f" both routes give {indices[m, N]}"
+            )
+    return len(report.rows)
 
 
 def _cmd_ch(args):
@@ -303,7 +317,10 @@ def _cmd_ch(args):
         )
     payload = json_value(report)
     if args.provenance:
-        payload["contributions"] = json_value(report.contributions)
+        payload["contributions"] = [
+            {"m": m, "N": N, "j": j, "degree": degree, "count": count}
+            for m, N, j, degree, count in report.rows
+        ]
     code = EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
     return payload, diagnostics, code
 

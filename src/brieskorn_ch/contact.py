@@ -6,7 +6,9 @@ The resulting graded vector space is eventually periodic: stepping N by
 L/m (L the lcm of all exponents) shifts every degree by the same integer
 2L(sum 1/a_j - 1), which also fixes the sign of the degree growth.  A scan
 visits only the N whose band of degrees meets the window, so its cost
-follows the window's width, not its position.
+follows the window's width, not its position.  Each visited N costs one
+integer pass over the exponents outside the type's support: a zero
+remainder rejects N, and the quotients are the floors the index sums.
 
 The whole construction only exists as a contact invariant when no
 generator lands in degree -1, 0 or 1; the report carries that verdict,
@@ -15,11 +17,14 @@ checked on a window-independent scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-from .maslov import IndexCharacter, _index_formula, classify_index, maslov_orbit_space
-from .orbits import OrbitType, enumerate_orbit_types, valid_multiplier
+from .maslov import IndexCharacter, classify_index, maslov_orbit_space
+from .maslov import _index_formula  # unused, kept for perfbench's tracer
+from .orbits import OrbitType, enumerate_orbit_types
+from .orbits import valid_multiplier  # unused, kept for perfbench's tracer
 from .randell import ExponentVector, orbit_space_rational_homology
 
 
@@ -68,7 +73,12 @@ class GradedRanks:
 
 @dataclass(frozen=True)
 class CHReport:
-    """Contact homology generator counts plus the data that certify them."""
+    """Contact homology generator counts plus the data that certify them.
+
+    `rows` holds one plain (m, N, j, degree, count) tuple per contribution,
+    ascending by (m, N, j); `contributions` builds them into objects on
+    first read.
+    """
 
     exponents: ExponentVector
     character: IndexCharacter
@@ -76,7 +86,14 @@ class CHReport:
     period_shift: int
     period_multipliers: dict[int, int]
     well_defined: bool
-    contributions: tuple[Contribution, ...]
+    rows: tuple[tuple[int, int, int, int, int], ...]
+
+    @cached_property
+    def contributions(self) -> tuple[Contribution, ...]:
+        return tuple(
+            Contribution(m=m, N=N, j=j, degree=degree, count=count)
+            for m, N, j, degree, count in self.rows
+        )
 
 
 def generator_degree(a: ExponentVector, t: OrbitType, N: int, j: int) -> int:
@@ -92,48 +109,82 @@ def period_shift(a: ExponentVector) -> int:
     return 2 * sum(L // aj for aj in a) - 2 * L
 
 
-def _contributions(a, types, lo, hi):
-    """All contributions with degree in [lo, hi], ascending by (m, N, j).
+class _Plan(NamedTuple):
+    """What the scan reads of one orbit type, built once per report.
 
-    Complete: every degree of the N-fold cover of a type lies in
-    [slope*N - 2, slope*N + 2(n-2)] (floor(x) > x - 1 on one side,
-    floor(x) <= x on the other, equality reachable on the principal type),
-    and only the N whose band meets the window are visited.
+    The degree of H_j of the N-fold cover is coef*N + 2*sum(N*m // a_i) +
+    const + j, the sum over the exponents outside J: inside J, N*m/a_j is
+    exact and folds into coef.
     """
-    n = a.n
-    sigma = a.reciprocal_sum()
-    out = []
-    for t in types:
-        homology = orbit_space_rational_homology(a, t.J)
-        base_shift = (n - 3) - (len(t.J) - 2)
-        slope = 2 * t.m * (sigma - 1)  # exact nonzero Fraction
-        first, last = sorted(((lo - 2 * (n - 2)) / slope, (hi + 2) / slope))
-        for N in range(max(1, math.ceil(first)), math.floor(last) + 1):
-            if valid_multiplier(a, t, N):
-                base = _index_formula(a, t, N) + base_shift
-                for j, count in enumerate(homology.ranks):
-                    if count and lo <= base + j <= hi:
-                        out.append(
-                            Contribution(m=t.m, N=N, j=j, degree=base + j, count=count)
-                        )
-    return out
+
+    m: int
+    period: int  # L/m: the step in N that shifts every degree by period_shift
+    outside: tuple[int, ...]
+    coef: int
+    const: int
+    homology: tuple[tuple[int, int], ...]  # nonzero (j, rank) of the orbit space
 
 
-def _graded(contributions, lo: int, hi: int) -> GradedRanks:
-    ranks: dict[int, int] = {}
-    for c in contributions:
-        ranks[c.degree] = ranks.get(c.degree, 0) + c.count
-    return GradedRanks(ranks=ranks, window=(lo, hi))
-
-
-def _orbit_types(a: ExponentVector) -> tuple[IndexCharacter, list[OrbitType]]:
-    """Index character and orbit types of a nondegenerate vector: every scan's preamble."""
+def _plans(a: ExponentVector) -> tuple[IndexCharacter, list[_Plan]]:
+    """Index character and one plan per orbit type, ascending by m: every scan's preamble."""
     character = classify_index(a)
     if character.is_degenerate:
         raise DegenerateContactFormError(
             "degree-0 orbits unavoidable: sum of reciprocal exponents equals 1"
         )
-    return character, enumerate_orbit_types(a)
+    n, L = a.n, a.lcm()
+    plans = []
+    for t in enumerate_orbit_types(a):
+        outside = tuple(aj for j, aj in enumerate(a) if j not in t.J)
+        ranks = orbit_space_rational_homology(a, t.J).ranks
+        plans.append(_Plan(
+            m=t.m,
+            period=L // t.m,
+            outside=outside,
+            coef=2 * sum(t.m // a[j] for j in t.J) - 2 * t.m,
+            const=len(outside) + (n - 3) - (len(t.J) - 2),
+            homology=tuple((j, count) for j, count in enumerate(ranks) if count),
+        ))
+    return character, plans
+
+
+def _multipliers(period: int, shift: int, lo: int, hi: int) -> range:
+    """The N >= 1 with lo <= N*shift/period <= hi, shift nonzero."""
+    if shift < 0:
+        lo, hi, shift = -hi, -lo, -shift
+    return range(max(1, -(-lo * period // shift)), hi * period // shift + 1)
+
+
+def _scan(
+    plans: list[_Plan], shift: int, n: int, lo: int, hi: int, rows: list | None = None
+) -> dict[int, int]:
+    """Ranks of the contributions with degree in [lo, hi], and their rows if asked.
+
+    Complete: every degree of the N-fold cover of a type lies in
+    [slope*N - 2, slope*N + 2(n-2)], slope = shift/period (floor(x) > x - 1
+    on one side, floor(x) <= x on the other, equality reachable on the
+    principal type), and only the N whose band meets the window are
+    visited.  Rows are appended ascending by (m, N, j).
+    """
+    ranks: dict[int, int] = {}
+    for m, period, outside, coef, const, homology in plans:
+        for N in _multipliers(period, shift, lo - 2 * (n - 2), hi + 2):
+            total = N * m
+            floors = 0
+            for aj in outside:
+                q, r = divmod(total, aj)
+                if not r:
+                    break  # aj divides N*m: the iterate leaves the type
+                floors += q
+            else:
+                base = coef * N + 2 * floors + const
+                for j, count in homology:
+                    degree = base + j
+                    if lo <= degree <= hi:
+                        ranks[degree] = ranks.get(degree, 0) + count
+                        if rows is not None:
+                            rows.append((m, N, j, degree, count))
+    return ranks
 
 
 def ch_ranks(a: ExponentVector, window: tuple[int, int]) -> GradedRanks:
@@ -147,12 +198,15 @@ def ranks_up_to(a: ExponentVector, hi: int) -> GradedRanks:
     Positivity bounds all degrees from below, so the scan is finite; the
     returned window starts at that proven floor.
     """
-    character, types = _orbit_types(a)
+    character, plans = _plans(a)
     if not character.is_positive:
         raise ValueError("unbounded scan: degrees are not bounded below")
-    sigma = a.reciprocal_sum()
-    lo = min(hi, math.floor(min(2 * t.m * (sigma - 1) for t in types) - 2))
-    return _graded(_contributions(a, types, lo, hi), lo, hi)
+    shift = period_shift(a)
+    # The least degree is above slope*N - 2 >= slope - 2, and slope =
+    # shift/period grows with m: the type of least m sets the floor.
+    lo = min(hi, shift // plans[0].period - 2)
+    ranks = _scan(plans, shift, a.n, lo, hi)
+    return GradedRanks(ranks=ranks, window=(lo, hi))
 
 
 def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
@@ -165,18 +219,18 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
     lo, hi = window
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
-    character, types = _orbit_types(a)
-    contribs = tuple(_contributions(a, types, lo, hi))
-    gate = _contributions(a, types, -1, 1)
-    L = a.lcm()
+    character, plans = _plans(a)
+    shift = period_shift(a)
+    rows: list[tuple[int, int, int, int, int]] = []
+    ranks = _scan(plans, shift, a.n, lo, hi, rows)
     return CHReport(
         exponents=a,
         character=character,
-        ranks=_graded(contribs, lo, hi),
-        period_shift=period_shift(a),
-        period_multipliers={t.m: L // t.m for t in types},
-        well_defined=not gate,
-        contributions=contribs,
+        ranks=GradedRanks(ranks=ranks, window=(lo, hi)),
+        period_shift=shift,
+        period_multipliers={p.m: p.period for p in plans},
+        well_defined=not _scan(plans, shift, a.n, -1, 1),
+        rows=tuple(rows),
     )
 
 

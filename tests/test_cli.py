@@ -457,6 +457,43 @@ def test_crosscheck_checks_each_index_once(capsys, monkeypatch):
     assert "crosscheck: 10 contributions verified by both routes\n" in err
 
 
+@pytest.mark.parametrize("row", [
+    (2, 1, 0, 4, 1),  # H_0 of the N = 1 cover of m = 2 sits in degree 2, not 4
+    (2, 3, 0, 8, 1),  # 6 divides 3 * 2: the iterate leaves the type
+], ids=["degree-off-by-two", "invalid-multiplier"])
+def test_crosscheck_checks_the_rows_the_scan_wrote(capsys, monkeypatch, row):
+    from dataclasses import replace
+
+    real = cli.ch_report
+    monkeypatch.setattr(cli, "ch_report", lambda a, window: replace(real(a, window), rows=(row,)))
+    code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--crosscheck")
+    assert code == 5
+    assert out == ""
+    m, N = row[:2]
+    assert err.startswith("error: internal invariant failed: ")
+    assert f"m={m}, N={N}" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--provenance"]])
+def test_contributions_are_built_only_when_read(capsys, monkeypatch, extra):
+    from brieskorn_ch import contact
+    from brieskorn_ch.randell import ExponentVector
+
+    argv = ["ch", "6", "2", "2", "2", "--window", "0:40", "--crosscheck", *extra]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def refuse(**fields):
+        raise AssertionError("a Contribution was built")
+
+    monkeypatch.setattr(contact, "Contribution", refuse)
+    assert run(capsys, *argv) == expected
+    monkeypatch.undo()
+    report = contact.ch_report(ExponentVector((6, 2, 2, 2)), (0, 40))
+    assert report.contributions is report.contributions
+    assert [tuple(vars(c).values()) for c in report.contributions] == list(report.rows)
+
+
 def test_one_parser_serves_repeated_calls(capsys):
     assert cli._build_parser() is cli._build_parser()
     calls = [["ch"], ["ch", "6", "2", "2", "2", "--window", "0:12"], ["ch"]]

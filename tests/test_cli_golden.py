@@ -51,6 +51,10 @@ CASES = [
     (["orbits", "4", "4", "4", "4", "--format", "text"], None),
     (["ch", "2", "3", "12", "7", "--window", "0:8", "--format", "text"], None),
     (["exotic", "--primes", "3", "3", "--format", "text"], None),
+    (["ch", "6", "4", "5", "7", "--window=-40:-10", "--provenance", "--crosscheck"], None),
+    (["ch", "2", "2", "3", "3", "4", "--window", "0:16", "--provenance"], None),
+    (["ch", "8", "6", "9", "4", "--window=-30:-6", "--provenance", "--crosscheck",
+      "--format", "text"], None),
 ]
 
 

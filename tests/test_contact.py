@@ -213,15 +213,71 @@ def test_scan_matches_the_walk_from_the_first_multiplier():
     ((7, 7, 7, 7), (-10**6 - 20, -10**6), lambda d: 187 if d % 6 == 0 else 1),
 ])
 def test_scan_cost_follows_the_window_not_its_position(monkeypatch, exponents, window, ranks):
-    calls = []
-    original = contact.valid_multiplier
+    # every multiplier a scan visits comes from one range per orbit type
+    visited = []
+    original = contact._multipliers
 
-    def counting(a, t, N):
-        calls.append(N)
-        return original(a, t, N)
+    def counting(*args):
+        multipliers = original(*args)
+        visited.append(len(multipliers))
+        return multipliers
 
-    monkeypatch.setattr(contact, "valid_multiplier", counting)
+    monkeypatch.setattr(contact, "_multipliers", counting)
     report = ch_report(ExponentVector(exponents), window)
-    assert len(calls) <= 50
+    assert 0 < sum(visited) <= 50
     lo, hi = window
     assert dict(report.ranks.items()) == {d: ranks(d) for d in range(lo, hi + 1, 2)}
+
+
+def walk_length(a, top):
+    """Multipliers the reference walk visits to reach degree `top` in absolute value."""
+    slope = 2 * abs(a.reciprocal_sum() - 1)
+    return sum(top / (slope * t.m) + 1 for t in enumerate_orbit_types(a))
+
+
+def test_two_period_windows_match_the_walk():
+    # the benchmark's window shape: two periods, width 2|period_shift|
+    rng = random.Random(20261019)
+    seen = set()
+    checked = 0
+    while checked < 36:
+        k, positive = rng.randint(4, 6), checked % 2 == 0
+        a = ExponentVector(tuple(rng.randint(2, 9) for _ in range(k)))
+        if classify_index(a).sign != ("positive" if positive else "negative"):
+            continue
+        width = 2 * abs(period_shift(a))
+        offset = rng.choice([0, rng.randint(1, 10**2), rng.randint(1, 10**4)])
+        if walk_length(a, offset + width + 2 * a.n) > 4_000:
+            continue
+        window = (offset, offset + width) if positive else (-offset - width, -offset)
+        report = ch_report(a, window)
+        walk = tuple(brute_contributions(a, *window))
+        assert report.contributions == walk, (a, window)
+        totals = {}
+        for c in walk:
+            totals[c.degree] = totals.get(c.degree, 0) + c.count
+        assert dict(report.ranks.items()) == totals
+        seen.add((k, positive))
+        checked += 1
+    assert {k for k, _ in seen} == {4, 5, 6} and {p for _, p in seen} == {True, False}
+
+
+def test_ranks_up_to_matches_the_walk():
+    # the walk from N = 1 meets every degree up to hi, so a floor set too
+    # high would show as a missing degree
+    rng = random.Random(20261020)
+    checked = 0
+    while checked < 30:
+        a = ExponentVector(tuple(rng.randint(2, 9) for _ in range(rng.randint(4, 6))))
+        if not classify_index(a).is_positive:
+            continue
+        hi = rng.randint(-2, 3 * abs(period_shift(a)))
+        if walk_length(a, hi + 2) > 4_000:
+            continue
+        totals = {}
+        for c in brute_contributions(a, -(10**9), hi):
+            totals[c.degree] = totals.get(c.degree, 0) + c.count
+        low = ranks_up_to(a, hi)
+        assert dict(low.items()) == totals, (a, hi)
+        assert low.window[0] <= min(totals, default=hi)
+        checked += 1

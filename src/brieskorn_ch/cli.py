@@ -25,11 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .connected_sum import (
     GeneratorCounts,
@@ -106,7 +107,7 @@ def _field_names(kind: type) -> tuple[str, ...]:
 def json_value(obj):
     """JSON value of a report object, by its exact type.
 
-    A dict becomes its [key, value] pairs sorted by key, a dataclass its
+    A dict becomes its (key, value) pairs sorted by key, a dataclass its
     {field: value} with the `_OVERRIDES` applied.
     """
     kind = type(obj)
@@ -115,7 +116,7 @@ def json_value(obj):
     if kind is tuple or kind is list:
         return [json_value(item) for item in obj]
     if kind is dict:
-        return [[key, json_value(value)] for key, value in sorted(obj.items())]
+        return [(key, json_value(value)) for key, value in sorted(obj.items())]
     if kind is ExponentVector:
         return list(obj.a)
     if kind is Fraction:
@@ -126,18 +127,70 @@ def json_value(obj):
     return out
 
 
+@dataclass(frozen=True)
+class _Table:
+    """Rows of ints under one tuple of keys, written as a list of {key: cell} objects.
+
+    The rows stay the tuples they were computed as; no per-row dict is built.
+    """
+
+    keys: tuple[str, ...]
+    rows: tuple[tuple[int, ...], ...] | list[tuple[int, ...]]
+
+
+_CONTRIBUTION_KEYS = ("m", "N", "j", "degree", "count")
+_ITERATED_KEYS = ("copies", "low_degree", "tube_degree")
+_INT = frozenset((int,))
+
+
+@cache
+def _row_template(width: int, pad: str) -> str:
+    """`%`-template of a flat array of `width` ints whose closing bracket sits on `pad`."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]"
+
+
+@cache
+def _table_template(keys: tuple[str, ...], pad: str) -> tuple[str, itemgetter]:
+    """`%`-template of one table row as an object with sorted keys, and the
+    getter that puts a row's cells in that order.
+    """
+    inner = pad + "  "
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    items = [encode_basestring_ascii(keys[i]).replace("%", "%%") + ": %d" for i in order]
+    return "{" + inner + ("," + inner).join(items) + pad + "}", itemgetter(*order)
+
+
 def _dumps(value, pad: str = "\n") -> str:
     """The text of `json.dumps(value, sort_keys=True, indent=2)`, byte for byte.
 
     `pad` is the newline and indent the value's closing bracket sits on.
-    Strings go through the C escaper; the standard library's indented
-    encoder is pure Python and takes twice as long on large envelopes.
+    A `_Table` is written as its list of {key: cell} objects.  Two row
+    shapes go through one `%`-template each, cached per (shape, indent): a
+    tuple of ints (the (key, value) pairs of `json_value`, the window echo)
+    and a table row.  Only cells whose type is exactly `int` reach a
+    template (`%d` would write a bool as 1, where JSON needs true); every
+    other value is written item by item, strings through the C escaper.
+    The standard library's indented encoder is pure Python and takes
+    twice as long on large envelopes.
     """
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return str(value)
+    if kind is tuple and value and _INT.issuperset(map(type, value)):
+        return _row_template(len(value), pad) % value
+    if kind is _Table:
+        rows = value.rows
+        if not rows:
+            return "[]"
+        inner = pad + "  "
+        if not _INT.issuperset(map(type, chain.from_iterable(rows))):
+            return _dumps([dict(zip(value.keys, row)) for row in rows], pad)
+        template, cells = _table_template(value.keys, inner)
+        items = map(template.__mod__, map(cells, rows))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict:
         if not value:
             return "{}"
@@ -202,11 +255,9 @@ def _render_text(envelope: dict) -> str:
         lines.append("  degree  rank")
         for degree, rank in payload["ranks"]["ranks"]:
             lines.append(f"  {degree:>6d}  {rank:>4d}")
-        for c in payload.get("contributions", []):
-            lines.append(
-                f"  from m={c['m']} N={c['N']} j={c['j']}:"
-                f" {c['count']} in degree {c['degree']}"
-            )
+        if "contributions" in payload:
+            for m, N, j, degree, count in payload["contributions"].rows:
+                lines.append(f"  from m={m} N={N} j={j}: {count} in degree {degree}")
     elif command == "sum":
         counts = payload["generator_counts"]
         lines.append(f"half-dimension n: {counts['half_dim_n']}")
@@ -222,11 +273,8 @@ def _render_text(envelope: dict) -> str:
             lines.append(f"  failing: {clause}")
         if "iterated_counts" in payload:
             lines.append("  copies  deg 2n-4 (>=)  deg 2n-3 (exact)")
-            for row in payload["iterated_counts"]:
-                lines.append(
-                    f"  {row['copies']:>6d}  {row['low_degree']:>13d}"
-                    f"  {row['tube_degree']:>16d}"
-                )
+            for copies, low, tube in payload["iterated_counts"].rows:
+                lines.append(f"  {copies:>6d}  {low:>13d}  {tube:>16d}")
     return "\n".join(lines) + "\n"
 
 
@@ -265,26 +313,30 @@ def _default_window(a: ExponentVector) -> tuple[int, int]:
 
 def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
     # The index depends on (m, N) only, so each pair is checked once by
-    # both routes; every row's degree must then sit at that index.
+    # both routes; every row's degree must then sit at that index plus the
+    # type's constant shift (n - 3) - (|J| - 2).  Rows are read in order,
+    # so the first faulty row is the one reported.
     types = {t.m: t for t in enumerate_orbit_types(a)}
+    shifts = {m: (a.n - 3) - (len(t.J) - 2) for m, t in types.items()}
     indices: dict[tuple[int, int], int] = {}
     for m, N, j, degree, _ in report.rows:
-        if (m, N) not in indices:
+        index = indices.get((m, N))
+        if index is None:
             try:  # `maslov_orbit_space` refuses an N whose iterate leaves the type
-                direct = maslov_orbit_space(a, types[m], N)
+                index = maslov_orbit_space(a, types[m], N)
             except (KeyError, ValueError) as exc:
                 raise _CrosscheckError(
                     f"row at m={m}, N={N} is not an iterate of an orbit type"
                 ) from exc
             indirect = maslov_crosscheck(a, types[m], N)
-            if direct != indirect:
-                raise _CrosscheckError(f"index mismatch for m={m}, N={N}: {direct} != {indirect}")
-            indices[m, N] = direct
-        scanned = degree - j - ((a.n - 3) - (len(types[m].J) - 2))
-        if scanned != indices[m, N]:
+            if index != indirect:
+                raise _CrosscheckError(f"index mismatch for m={m}, N={N}: {index} != {indirect}")
+            indices[m, N] = index
+        scanned = degree - j - shifts[m]
+        if scanned != index:
             raise _CrosscheckError(
                 f"degree {degree} at m={m}, N={N}, j={j} puts the index at {scanned},"
-                f" both routes give {indices[m, N]}"
+                f" both routes give {index}"
             )
     return len(report.rows)
 
@@ -317,10 +369,7 @@ def _cmd_ch(args):
         )
     payload = json_value(report)
     if args.provenance:
-        payload["contributions"] = [
-            {"m": m, "N": N, "j": j, "degree": degree, "count": count}
-            for m, N, j, degree, count in report.rows
-        ]
+        payload["contributions"] = _Table(_CONTRIBUTION_KEYS, report.rows)
     code = EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
     return payload, diagnostics, code
 
@@ -435,10 +484,9 @@ def _cmd_exotic(args):
         iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
     payload = {
         "verdict": json_value(verdict),
-        "iterated_counts": [
-            {"copies": r, "low_degree": f[2 * n - 4], "tube_degree": f[2 * n - 3]}
-            for r, f in enumerate(folds, 1)
-        ],
+        "iterated_counts": _Table(
+            _ITERATED_KEYS, [(r, f[2 * n - 4], f[2 * n - 3]) for r, f in enumerate(folds, 1)]
+        ),
         "final_counts": json_value(folds[-1]),
     }
     diagnostics = ["degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"]

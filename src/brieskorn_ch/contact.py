@@ -125,13 +125,24 @@ class _Plan(NamedTuple):
     homology: tuple[tuple[int, int], ...]  # nonzero (j, rank) of the orbit space
 
 
-def _plans(a: ExponentVector) -> tuple[IndexCharacter, list[_Plan]]:
-    """Index character and one plan per orbit type, ascending by m: every scan's preamble."""
+def _plans(a: ExponentVector) -> tuple[IndexCharacter, tuple[_Plan, ...]]:
+    """Index character and one plan per orbit type, ascending by m: every scan's preamble.
+
+    The plans are built on the vector's first scan and kept in `a.derived`,
+    so a report and the scans that audit it enumerate the types once.
+    """
     character = classify_index(a)
     if character.is_degenerate:
         raise DegenerateContactFormError(
             "degree-0 orbits unavoidable: sum of reciprocal exponents equals 1"
         )
+    plans = a.derived.get("contact plans")
+    if plans is None:
+        plans = a.derived["contact plans"] = _build_plans(a)
+    return character, plans
+
+
+def _build_plans(a: ExponentVector) -> tuple[_Plan, ...]:
     n, L = a.n, a.lcm()
     plans = []
     for t in enumerate_orbit_types(a):
@@ -145,7 +156,7 @@ def _plans(a: ExponentVector) -> tuple[IndexCharacter, list[_Plan]]:
             const=len(outside) + (n - 3) - (len(t.J) - 2),
             homology=tuple((j, count) for j, count in enumerate(ranks) if count),
         ))
-    return character, plans
+    return tuple(plans)
 
 
 def _multipliers(period: int, shift: int, lo: int, hi: int) -> range:
@@ -156,7 +167,7 @@ def _multipliers(period: int, shift: int, lo: int, hi: int) -> range:
 
 
 def _scan(
-    plans: list[_Plan], shift: int, n: int, lo: int, hi: int, rows: list | None = None
+    plans: tuple[_Plan, ...], shift: int, n: int, lo: int, hi: int, rows: list | None = None
 ) -> dict[int, int]:
     """Ranks of the contributions with degree in [lo, hi], and their rows if asked.
 

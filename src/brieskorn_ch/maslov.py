@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .orbits import OrbitType, valid_multiplier
 from .randell import ExponentVector
@@ -78,9 +79,7 @@ def _index_formula(a: ExponentVector, t: OrbitType, N: int) -> int:
     # ints // is both at once.  Exact on any N; the caller decides whether
     # validity matters.
     total = N * t.m
-    return (
-        2 * sum(total // aj for aj in a) + (len(a) - len(t.J)) - 2 * total
-    )
+    return 2 * sum(map(total.__floordiv__, a.a)) + (len(a.a) - len(t.J)) - 2 * total
 
 
 def maslov_orbit_space(a: ExponentVector, t: OrbitType, N: int) -> int:
@@ -106,4 +105,4 @@ def maslov_crosscheck(a: ExponentVector, t: OrbitType, N: int) -> int:
     if N < 1:
         raise ValueError("multiplier must be a positive integer")
     total = N * t.m
-    return sum(_unitary(total, aj) for aj in a) - _unitary(total, 1)
+    return sum(map(_unitary, repeat(total), a.a)) - _unitary(total, 1)

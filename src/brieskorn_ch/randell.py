@@ -99,6 +99,13 @@ class ExponentVector:
             raise HomologyInvariantError(f"negative kappa on a subset of {self.a}")
         return table
 
+    @cached_property
+    def derived(self) -> dict:
+        """Tables later stages build from this vector alone (the contact scan's
+        orbit-type plans), kept for as long as the vector, like its subset tables.
+        """
+        return {}
+
     def reciprocal_sum(self) -> Fraction:
         return sum((Fraction(1, x) for x in self.a), Fraction(0))
 

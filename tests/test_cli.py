@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brieskorn_ch import cli
 from brieskorn_ch.cli import main
@@ -474,6 +476,40 @@ def test_crosscheck_checks_the_rows_the_scan_wrote(capsys, monkeypatch, row):
     assert f"m={m}, N={N}" in err
 
 
+def test_crosscheck_reports_the_first_faulty_row(capsys, monkeypatch):
+    from dataclasses import replace
+
+    rows = ((2, 1, 0, 4, 1), (2, 3, 0, 8, 1))  # degree off by two, then an invalid N
+    real = cli.ch_report
+    monkeypatch.setattr(cli, "ch_report", lambda a, window: replace(real(a, window), rows=rows))
+    code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--crosscheck")
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: internal invariant failed: degree 4 at m=2, N=1, j=0 puts the index at 5,"
+        " both routes give 3\n"
+    )
+
+
+def test_exotic_builds_each_orbit_space_once(capsys, monkeypatch):
+    # the report and the sphere check's scan below degree 2n-4 share one
+    # plan per orbit type, kept on the exponent vector
+    from brieskorn_ch import contact
+    from brieskorn_ch.orbits import enumerate_orbit_types
+    from brieskorn_ch.randell import ExponentVector
+
+    supports = []
+    original = contact.orbit_space_rational_homology
+
+    def counting(a, support):
+        supports.append(support)
+        return original(a, support)
+
+    monkeypatch.setattr(contact, "orbit_space_rational_homology", counting)
+    code, _, _ = run(capsys, "exotic", "--primes", "3", "5")
+    assert code == 0
+    assert supports == [t.J for t in enumerate_orbit_types(ExponentVector((3, 5, 2, 2)))]
+
+
 @pytest.mark.parametrize("extra", [[], ["--provenance"]])
 def test_contributions_are_built_only_when_read(capsys, monkeypatch, extra):
     from brieskorn_ch import contact
@@ -547,3 +583,82 @@ def test_writer_matches_the_indented_json_encoder(capsys, tmp_path):
     assert codes == {0, 2, 3, 4}  # success, degenerate, not well defined, failing sphere
     for value in ({}, [], {"a": {}, "b": [[], {}]}, [None, True, False, "S²×S³", -7]):
         assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def plain(value):
+    """A `_Table` as the list of objects it stands for, for the standard encoder."""
+    if type(value) is cli._Table:
+        return [dict(zip(value.keys, row)) for row in value.rows]
+    raise TypeError(type(value).__name__)
+
+
+def test_writer_matches_the_encoder_on_the_envelopes_main_builds(capsys, monkeypatch, tmp_path):
+    # the values `main` hands the writer: tuple rows, keyed tables (filled
+    # and empty), negative ints; the encoder sees each table as its objects
+    written = []
+    real = cli._dumps
+
+    def recording(value, pad="\n"):
+        if pad == "\n":  # the envelope itself, not a nested value
+            written.append(value)
+        return real(value, pad)
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    ch_file = tmp_path / "ch.json"
+    ch_file.write_text(
+        run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--provenance", "--crosscheck")[1]
+    )
+    for argv in (
+        ["ch", "6", "2", "2", "2", "--window", "3:3", "--provenance"],
+        ["ch", "7", "7", "7", "7", "--window=-30:0", "--provenance"],
+        ["exotic", "--primes", "3", "5", "--copies", "3"],
+        ["exotic", "--primes", "3", "3"],
+        ["homology", "2", "3", "3", "3", "3"],
+        ["sum", str(ch_file), str(ch_file), "--cutoff", "1"],
+    ):
+        run(capsys, *argv)
+    monkeypatch.undo()
+
+    assert len(written) == 7
+    for envelope in written:
+        assert real(envelope) == json.dumps(envelope, sort_keys=True, indent=2, default=plain)
+    payloads = [envelope["payload"] for envelope in written]
+    tables = [p[key] for p in payloads for key in ("contributions", "iterated_counts") if key in p]
+    assert {len(t.rows) > 0 for t in tables} == {True, False}  # filled and empty tables
+    assert any(row[3] < 0 for row in payloads[2]["contributions"].rows)
+    assert written[0]["input"]["window"] == (0, 12)
+    assert type(payloads[0]["ranks"]["ranks"][0]) is tuple
+    assert payloads[-1]["generator_counts"]["counts"] == []
+
+
+def test_a_bool_never_reaches_an_int_template():
+    # `%d` writes True as 1; JSON needs true
+    assert cli._dumps((1, True)) == "[\n  1,\n  true\n]"
+    assert cli._dumps(cli._Table(("a", "b"), [(True, 2)])) == (
+        '[\n  {\n    "a": true,\n    "b": 2\n  }\n]'
+    )
+    assert cli._dumps({"x": (False,)}) == json.dumps({"x": [False]}, sort_keys=True, indent=2)
+
+
+cells = st.integers() | st.booleans()
+leaves = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+tables = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.tuples(*[cells] * len(keys)), max_size=3).map(
+        lambda rows: cli._Table(tuple(keys), rows)
+    )
+)
+json_values = st.recursive(
+    leaves | tables | st.lists(st.integers(), max_size=4).map(tuple),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_writer_matches_the_indented_json_encoder_on_any_value(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2, default=plain)

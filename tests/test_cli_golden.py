@@ -4,8 +4,11 @@ Every run in CASES is replayed in order inside a scratch directory; a run
 with a file name saves its stdout there, so later `sum` runs read envelopes
 the tool itself wrote, under relative names (the names are echoed back).
 
-Regenerate the golden file, only for an intended change of output, with
+Record the runs of newly appended CASES with
     PYTHONPATH=src python tests/test_cli_golden.py
+It keeps every recorded run as it is and appends only the new ones; when a
+recorded run's bytes differ from the current code's, it names the runs,
+writes nothing and exits 1.  A recorded run is never re-recorded by it.
 """
 
 import contextlib
@@ -55,6 +58,9 @@ CASES = [
     (["ch", "2", "2", "3", "3", "4", "--window", "0:16", "--provenance"], None),
     (["ch", "8", "6", "9", "4", "--window=-30:-6", "--provenance", "--crosscheck",
       "--format", "text"], None),
+    (["ch", "6", "2", "2", "2", "--window", "3:3", "--provenance", "--crosscheck"], None),
+    (["exotic", "--primes", "3", "5", "--copies", "40"], None),
+    (["sum", "ch.json", "sum.json", "--cutoff", "1"], None),
 ]
 
 
@@ -82,7 +88,25 @@ def test_cli_runs_match_golden_bytes(tmp_path, monkeypatch):
         assert record == expected, " ".join(record["argv"])
 
 
-if __name__ == "__main__":
+def test_recording_appends_new_runs_and_keeps_recorded_ones(tmp_path, monkeypatch):
+    recorded = GOLDEN.read_text(encoding="utf-8")
+    runs = json.loads(recorded)
+    short = tmp_path / "short.json"  # the last case not yet recorded
+    short.write_text(json.dumps(runs[:-1], indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", short)
+    assert append_new_runs() == 0
+    assert short.read_text(encoding="utf-8") == recorded
+
+    runs[0]["stdout"] += " "  # a recorded run whose bytes the code no longer writes
+    changed = json.dumps(runs[:-1], indent=1, ensure_ascii=False) + "\n"
+    short.write_text(changed, encoding="utf-8")
+    assert append_new_runs() == 1
+    assert short.read_text(encoding="utf-8") == changed
+
+
+def append_new_runs() -> int:
+    """Append the runs of CASES past the recorded ones; refuse if a recorded run changed."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as scratch:
         here = os.getcwd()
         os.chdir(scratch)
@@ -90,5 +114,20 @@ if __name__ == "__main__":
             runs = replay()
         finally:
             os.chdir(here)
-    GOLDEN.write_text(json.dumps(runs, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    print(f"wrote {len(runs)} runs to {GOLDEN}", file=sys.stderr)
+    changed = [" ".join(g["argv"]) for g, r in zip(golden, runs) if g != r]
+    changed += [" ".join(g["argv"]) for g in golden[len(runs):]]  # no longer in CASES
+    if changed:
+        for argv in changed:
+            print(f"recorded run differs: {argv}", file=sys.stderr)
+        print(f"{GOLDEN} left as it was", file=sys.stderr)
+        return 1
+    new = runs[len(golden):]
+    GOLDEN.write_text(
+        json.dumps(golden + new, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+    print(f"appended {len(new)} runs to {GOLDEN}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(append_new_runs())

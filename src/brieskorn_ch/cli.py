@@ -107,8 +107,9 @@ def _field_names(kind: type) -> tuple[str, ...]:
 def json_value(obj):
     """JSON value of a report object, by its exact type.
 
-    A dict becomes its (key, value) pairs sorted by key, a dataclass its
-    {field: value} with the `_OVERRIDES` applied.
+    A dict (the reports' int maps: ranks, period multipliers, counts)
+    becomes a keyless `_Table` of its (key, value) rows sorted by key, a
+    dataclass its {field: value} with the `_OVERRIDES` applied.
     """
     kind = type(obj)
     if kind is int or kind is bool or kind is str:
@@ -116,7 +117,7 @@ def json_value(obj):
     if kind is tuple or kind is list:
         return [json_value(item) for item in obj]
     if kind is dict:
-        return [(key, json_value(value)) for key, value in sorted(obj.items())]
+        return _Table(None, sorted(obj.items()))
     if kind is ExponentVector:
         return list(obj.a)
     if kind is Fraction:
@@ -129,12 +130,13 @@ def json_value(obj):
 
 @dataclass(frozen=True)
 class _Table:
-    """Rows of ints under one tuple of keys, written as a list of {key: cell} objects.
+    """Int rows, written as a list of arrays (`keys` None) or of {key: cell} objects.
 
-    The rows stay the tuples they were computed as; no per-row dict is built.
+    The rows stay the tuples they were computed as; no per-row list or dict
+    is built.  The rows of a keyless table share one width.
     """
 
-    keys: tuple[str, ...]
+    keys: tuple[str, ...] | None
     rows: tuple[tuple[int, ...], ...] | list[tuple[int, ...]]
 
 
@@ -144,19 +146,15 @@ _INT = frozenset((int,))
 
 
 @cache
-def _row_template(width: int, pad: str) -> str:
-    """`%`-template of a flat array of `width` ints whose closing bracket sits on `pad`."""
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]"
-
-
-@cache
-def _table_template(keys: tuple[str, ...], pad: str) -> tuple[str, itemgetter]:
-    """`%`-template of one table row as an object with sorted keys, and the
-    getter that puts a row's cells in that order.
+def _row_template(keys: tuple[str, ...] | None, width: int, pad: str):
+    """`%`-template of one table row of `width` ints whose closing bracket sits
+    on `pad`, and the getter that puts a row's cells in its order: an array
+    and no getter when `keys` is None, else an object with the keys sorted.
     """
     inner = pad + "  "
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if keys is None:
+        return "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]", None
+    order = sorted(range(width), key=keys.__getitem__)
     items = [encode_basestring_ascii(keys[i]).replace("%", "%%") + ": %d" for i in order]
     return "{" + inner + ("," + inner).join(items) + pad + "}", itemgetter(*order)
 
@@ -165,10 +163,9 @@ def _dumps(value, pad: str = "\n") -> str:
     """The text of `json.dumps(value, sort_keys=True, indent=2)`, byte for byte.
 
     `pad` is the newline and indent the value's closing bracket sits on.
-    A `_Table` is written as its list of {key: cell} objects.  Two row
-    shapes go through one `%`-template each, cached per (shape, indent): a
-    tuple of ints (the (key, value) pairs of `json_value`, the window echo)
-    and a table row.  Only cells whose type is exactly `int` reach a
+    A `_Table` is written as its list of arrays or {key: cell} objects,
+    each row through one `%`-template cached per table shape (keys, width,
+    indent).  Only tables whose cells are all exactly `int` reach a
     template (`%d` would write a bool as 1, where JSON needs true); every
     other value is written item by item, strings through the C escaper.
     The standard library's indented encoder is pure Python and takes
@@ -179,17 +176,15 @@ def _dumps(value, pad: str = "\n") -> str:
         return encode_basestring_ascii(value)
     if kind is int:
         return str(value)
-    if kind is tuple and value and _INT.issuperset(map(type, value)):
-        return _row_template(len(value), pad) % value
     if kind is _Table:
-        rows = value.rows
+        keys, rows = value.keys, value.rows
         if not rows:
             return "[]"
-        inner = pad + "  "
         if not _INT.issuperset(map(type, chain.from_iterable(rows))):
-            return _dumps([dict(zip(value.keys, row)) for row in rows], pad)
-        template, cells = _table_template(value.keys, inner)
-        items = map(template.__mod__, map(cells, rows))
+            return _dumps(rows if keys is None else [dict(zip(keys, row)) for row in rows], pad)
+        inner = pad + "  "
+        template, cells = _row_template(keys, len(rows[0]), inner)
+        items = map(template.__mod__, rows if cells is None else map(cells, rows))
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict:
         if not value:
@@ -247,13 +242,13 @@ def _render_text(envelope: dict) -> str:
             )
     elif command == "ch" and "error" not in payload:
         lines.append(f"period shift: {payload['period_shift']}")
-        steps = ", ".join(f"m={m}: {s}" for m, s in payload["period_multipliers"])
+        steps = ", ".join(f"m={m}: {s}" for m, s in payload["period_multipliers"].rows)
         lines.append(f"period multipliers: {steps}")
         lines.append(f"well defined: {'yes' if payload['well_defined'] else 'no'}")
         window = payload["ranks"]["window"]
         lines.append(f"ranks on [{window[0]}, {window[1]}]:")
         lines.append("  degree  rank")
-        for degree, rank in payload["ranks"]["ranks"]:
+        for degree, rank in payload["ranks"]["ranks"].rows:
             lines.append(f"  {degree:>6d}  {rank:>4d}")
         if "contributions" in payload:
             for m, N, j, degree, count in payload["contributions"].rows:
@@ -263,7 +258,7 @@ def _render_text(envelope: dict) -> str:
         lines.append(f"half-dimension n: {counts['half_dim_n']}")
         lines.append(f"cutoff: {counts['cutoff']}")
         lines.append("  degree  count")
-        for degree, count in counts["counts"]:
+        for degree, count in counts["counts"].rows:
             lines.append(f"  {degree:>6d}  {count:>5d}")
     elif command == "exotic":
         verdict = payload["verdict"]

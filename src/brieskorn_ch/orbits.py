@@ -11,7 +11,6 @@ but both views are used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exact import lcm_set, subsets  # unused, kept for perfbench's tracer
 from .randell import ExponentVector
@@ -49,18 +48,10 @@ def valid_multiplier(a: ExponentVector, t: OrbitType, N: int) -> bool:
     """True when the N-fold iterate still has exactly the type `t`.
 
     Equivalently: no exponent outside J divides N*m, so the iterate has
-    not been absorbed into a larger orbit space.
+    not been absorbed into a larger orbit space.  Every exponent in J
+    divides m, so that holds exactly when |J| exponents divide N*m.
     """
     if N < 1:
         raise ValueError("multiplier must be a positive integer")
     total = N * t.m
-    for aj in _outside(a.a, t.J):
-        if total % aj == 0:
-            return False
-    return True
-
-
-@lru_cache(maxsize=1024)
-def _outside(a: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, ...]:
-    """The exponents whose index is not in J: what every validity test of a type reads."""
-    return tuple(aj for j, aj in enumerate(a) if j not in J)
+    return [total % aj for aj in a.a].count(0) == len(t.J)

@@ -1,0 +1,66 @@
+"""One sha256 of (exit code, stdout, stderr) per benchmark query, for byte-identity checks.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python tests/output_digest.py 1-40 > digests.txt
+
+Every query of the given seeds of all three workloads of
+`perfbench/queries.py` is run in process through `brieskorn_ch.cli.main`,
+once as written and once with `--format text`.  Each run prints one line,
+`<workload> <seed> <sha256> <argv>`.  Diff the output of two checkouts to
+see that a change keeps every byte the tool writes.  The `sum` inputs are
+written by the tool itself into a temporary directory, so nothing lands in
+the checkout.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from brieskorn_ch.cli import main  # noqa: E402
+from queries import WORKLOADS, generate, write_sum_pool  # noqa: E402
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv: list[str]) -> str:
+    code, out, err = run(argv)
+    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+
+
+def seeds(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main_digest(spec: str) -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        here = os.getcwd()
+        os.chdir(scratch)
+        try:
+            for seed in seeds(spec):
+                write_sum_pool(seed, lambda argv: run(argv)[1])
+                for workload in WORKLOADS:
+                    for query in generate(workload, seed):
+                        for argv in (list(query.argv), [*query.argv, "--format", "text"]):
+                            print(workload, seed, digest(argv), " ".join(argv))
+        finally:
+            os.chdir(here)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: output_digest.py SEED or FIRST-LAST")
+    main_digest(sys.argv[1])

@@ -586,15 +586,26 @@ def test_writer_matches_the_indented_json_encoder(capsys, tmp_path):
 
 
 def plain(value):
-    """A `_Table` as the list of objects it stands for, for the standard encoder."""
+    """A `_Table` as the list of arrays or objects it stands for, for the standard encoder."""
+    if type(value) is cli._Table and value.keys is None:
+        return [list(row) for row in value.rows]
     if type(value) is cli._Table:
         return [dict(zip(value.keys, row)) for row in value.rows]
     raise TypeError(type(value).__name__)
 
 
+def tables_in(value):
+    """Every `_Table` inside a payload."""
+    if type(value) is cli._Table:
+        yield value
+    elif type(value) in (dict, list, tuple):
+        for item in value.values() if type(value) is dict else value:
+            yield from tables_in(item)
+
+
 def test_writer_matches_the_encoder_on_the_envelopes_main_builds(capsys, monkeypatch, tmp_path):
-    # the values `main` hands the writer: tuple rows, keyed tables (filled
-    # and empty), negative ints; the encoder sees each table as its objects
+    # the values `main` hands the writer: keyless and keyed tables (filled
+    # and empty), negative ints; the encoder sees each table as its rows
     written = []
     real = cli._dumps
 
@@ -627,8 +638,17 @@ def test_writer_matches_the_encoder_on_the_envelopes_main_builds(capsys, monkeyp
     assert {len(t.rows) > 0 for t in tables} == {True, False}  # filled and empty tables
     assert any(row[3] < 0 for row in payloads[2]["contributions"].rows)
     assert written[0]["input"]["window"] == (0, 12)
-    assert type(payloads[0]["ranks"]["ranks"][0]) is tuple
-    assert payloads[-1]["generator_counts"]["counts"] == []
+    assert type(payloads[0]["ranks"]["ranks"].rows[0]) is tuple
+    assert payloads[-1]["generator_counts"]["counts"].rows == []
+    # every int map the reports carry is a keyless table, and nothing else is
+    ch = [p for p in payloads if "period_multipliers" in p]
+    int_maps = [p["period_multipliers"] for p in ch] + [p["ranks"]["ranks"] for p in ch]
+    int_maps += [p[key]["counts"] for p in payloads for key in ("generator_counts", "final_counts")
+                 if key in p]
+    assert len(int_maps) == 3 + 3 + 2
+    assert all(type(t) is cli._Table and t.keys is None for t in int_maps)
+    keyless = [t for p in payloads for t in tables_in(p) if t.keys is None]
+    assert sorted(map(id, keyless)) == sorted(map(id, int_maps))
 
 
 def test_a_bool_never_reaches_an_int_template():
@@ -637,16 +657,23 @@ def test_a_bool_never_reaches_an_int_template():
     assert cli._dumps(cli._Table(("a", "b"), [(True, 2)])) == (
         '[\n  {\n    "a": true,\n    "b": 2\n  }\n]'
     )
+    assert cli._dumps(cli._Table(None, [(1, True)])) == "[\n  [\n    1,\n    true\n  ]\n]"
     assert cli._dumps({"x": (False,)}) == json.dumps({"x": [False]}, sort_keys=True, indent=2)
 
 
 cells = st.integers() | st.booleans()
 leaves = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+
+
+def tables_of(keys, width):
+    """Tables of up to three rows of `width` int or bool cells."""
+    rows = st.lists(st.tuples(*[cells] * width), max_size=3)
+    return rows.map(lambda rows: cli._Table(keys, rows))
+
+
 tables = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True).flatmap(
-    lambda keys: st.lists(st.tuples(*[cells] * len(keys)), max_size=3).map(
-        lambda rows: cli._Table(tuple(keys), rows)
-    )
-)
+    lambda keys: tables_of(tuple(keys), len(keys))
+) | st.integers(1, 4).flatmap(lambda width: tables_of(None, width))
 json_values = st.recursive(
     leaves | tables | st.lists(st.integers(), max_size=4).map(tuple),
     lambda inner: (

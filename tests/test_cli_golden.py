@@ -61,6 +61,8 @@ CASES = [
     (["ch", "6", "2", "2", "2", "--window", "3:3", "--provenance", "--crosscheck"], None),
     (["exotic", "--primes", "3", "5", "--copies", "40"], None),
     (["sum", "ch.json", "sum.json", "--cutoff", "1"], None),
+    (["exotic", "--primes", "3", "5", "--copies", "0"], None),
+    (["exotic", "--primes", "3", "3", "--copies", "0"], None),
 ]
 
 

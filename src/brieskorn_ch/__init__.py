@@ -32,7 +32,6 @@ from .contact import (
     ranks_up_to,
     sufficient_negativity_check,
 )
-from .exact import gcd_set, lcm_set, subsets
 from .maslov import (
     IndexCharacter,
     classify_index,
@@ -45,7 +44,6 @@ from .randell import (
     ExponentVector,
     HomologyInvariantError,
     HomologyReport,
-    OrbitSpaceHomology,
     full_homology,
     kappa,
     orbit_space_rational_homology,

@@ -55,10 +55,6 @@ EXIT_SPHERE_CHECK = 4
 EXIT_INVARIANT = 5
 
 
-class _CrosscheckError(RuntimeError):
-    """The two routes to a Maslov index disagreed."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; 2 is taken by the
     # degenerate gate, so usage problems are rerouted to exit 1, the exit
@@ -320,16 +316,18 @@ def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
             try:  # `maslov_orbit_space` refuses an N whose iterate leaves the type
                 index = maslov_orbit_space(a, types[m], N)
             except (KeyError, ValueError) as exc:
-                raise _CrosscheckError(
+                raise HomologyInvariantError(
                     f"row at m={m}, N={N} is not an iterate of an orbit type"
                 ) from exc
             indirect = maslov_crosscheck(a, types[m], N)
             if index != indirect:
-                raise _CrosscheckError(f"index mismatch for m={m}, N={N}: {index} != {indirect}")
+                raise HomologyInvariantError(
+                    f"index mismatch for m={m}, N={N}: {index} != {indirect}"
+                )
             indices[m, N] = index
         scanned = degree - j - shifts[m]
         if scanned != index:
-            raise _CrosscheckError(
+            raise HomologyInvariantError(
                 f"degree {degree} at m={m}, N={N}, j={j} puts the index at {scanned},"
                 f" both routes give {index}"
             )
@@ -531,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (HomologyInvariantError, _CrosscheckError) as exc:
+    except HomologyInvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     envelope = {

@@ -49,9 +49,6 @@ class GeneratorCounts:
     def __getitem__(self, degree: int) -> int:
         return self.counts.get(degree, 0)
 
-    def items(self):
-        return sorted(self.counts.items())
-
 
 @dataclass(frozen=True)
 class SpecialSphereVerdict:

@@ -147,7 +147,7 @@ def _build_plans(a: ExponentVector) -> tuple[_Plan, ...]:
     plans = []
     for t in enumerate_orbit_types(a):
         outside = tuple(aj for j, aj in enumerate(a) if j not in t.J)
-        ranks = orbit_space_rational_homology(a, t.J).ranks
+        ranks = orbit_space_rational_homology(a, t.J)
         plans.append(_Plan(
             m=t.m,
             period=L // t.m,

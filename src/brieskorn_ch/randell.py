@@ -23,6 +23,7 @@ values of t, and that max is v_p of the lcm.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,11 @@ MAX_EXPONENTS = 16  # a vector's subset tables hold 2^k entries
 
 
 class HomologyInvariantError(RuntimeError):
-    """A quantity that must be a nonnegative integer came out otherwise."""
+    """An internal invariant failed.
+
+    A kappa or a torsion factor that must be a nonnegative integer came out
+    otherwise, or the two routes to a Maslov index disagreed.
+    """
 
 
 @dataclass(frozen=True)
@@ -61,10 +66,6 @@ class ExponentVector:
     def n(self) -> int:
         """Half-dimension parameter: the manifold has dimension 2n - 1."""
         return len(self.a) - 1
-
-    @property
-    def full_support(self) -> tuple[int, ...]:
-        return tuple(range(len(self.a)))
 
     def lcm(self) -> int:
         return self.subset_lcm[-1]
@@ -131,18 +132,6 @@ class HomologyReport:
     description: str
 
 
-@dataclass(frozen=True)
-class OrbitSpaceHomology:
-    """Rational homology of an S^1-quotient orbifold, indexed 0..dimension."""
-
-    dimension: int
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.ranks) != self.dimension + 1:
-            raise ValueError("ranks must cover degrees 0..dimension")
-
-
 def _moebius(table: list[int], width: int) -> list[int]:
     """Turn table[S] = sum of f(T) over T ⊆ S into f(S), in place.
 
@@ -156,17 +145,17 @@ def _moebius(table: list[int], width: int) -> list[int]:
     return table
 
 
-def _kappa_raw(a: ExponentVector, support: tuple[int, ...]) -> int:
+def _kappa_raw(a: ExponentVector, support: Iterable[int]) -> int:
     """Kappa of `support`; no size restriction on it."""
     return a.subset_kappa[sum(1 << i for i in support)]
 
 
-def kappa(a: ExponentVector, support: tuple[int, ...]) -> int:
+def kappa(a: ExponentVector, support: Iterable[int]) -> int:
     """Rank of the middle homology of the submanifold spanned by `support`."""
-    support = tuple(sorted(support))
+    support = tuple(support)
     if len(support) < 2:
         raise ValueError("support needs at least two indices")
-    if len(set(support)) != len(support) or not set(support) <= set(a.full_support):
+    if len(set(support)) != len(support) or not set(support) <= set(range(len(a))):
         raise ValueError("support must be a subset of the exponent indices")
     return _kappa_raw(a, support)
 
@@ -226,7 +215,7 @@ def full_homology(a: ExponentVector) -> HomologyReport:
     connected sum of copies of S^2 x S^3.
     """
     n = a.n
-    middle = _kappa_raw(a, a.full_support)
+    middle = _kappa_raw(a, range(len(a)))
     tors = torsion(a)
 
     graded: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}
@@ -253,17 +242,15 @@ def full_homology(a: ExponentVector) -> HomologyReport:
     )
 
 
-def orbit_space_rational_homology(
-    a: ExponentVector, support: tuple[int, ...]
-) -> OrbitSpaceHomology:
-    """Rational homology of the orbit space attached to `support`.
+def orbit_space_rational_homology(a: ExponentVector, support: tuple[int, ...]) -> tuple[int, ...]:
+    """Betti numbers of the orbit space attached to `support`, degrees 0..2|support|-4.
 
-    Rank 1 in every even degree of 0..2|support|-4, plus kappa of the
-    support in the middle degree.  When |support| is odd the middle degree
-    is odd and the kappa part is the only contribution there.
+    Rank 1 in every even degree, plus kappa of the support in the middle
+    degree.  When |support| is odd the middle degree is odd and the kappa
+    part is the only contribution there.
     """
     extra = kappa(a, support)  # validates the support
     dim = 2 * len(support) - 4
     ranks = [1 if q % 2 == 0 else 0 for q in range(dim + 1)]
     ranks[dim // 2] += extra
-    return OrbitSpaceHomology(dimension=dim, ranks=tuple(ranks))
+    return tuple(ranks)

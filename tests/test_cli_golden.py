@@ -63,6 +63,10 @@ CASES = [
     (["sum", "ch.json", "sum.json", "--cutoff", "1"], None),
     (["exotic", "--primes", "3", "5", "--copies", "0"], None),
     (["exotic", "--primes", "3", "3", "--copies", "0"], None),
+    (["ch", "6", "2", "2", "2", "--window", "10"], None),
+    (["ch", "6", "2", "2", "2", "--window", "9:1"], None),
+    (["ch", "6", "2", "2", "2", "--window", "a:b"], None),
+    (["exotic", "--primes", "3", "5", "--window", "0:1"], None),
 ]
 
 

@@ -183,7 +183,7 @@ def brute_contributions(a, lo, hi):
             if character.is_negative and slope * N + 2 * (n - 2) < lo:
                 break
             if valid_multiplier(a, t, N):
-                for j, count in enumerate(homology.ranks):
+                for j, count in enumerate(homology):
                     degree = generator_degree(a, t, N, j)
                     if count and lo <= degree <= hi:
                         out.append(Contribution(m=t.m, N=N, j=j, degree=degree, count=count))

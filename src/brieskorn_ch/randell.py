@@ -22,7 +22,9 @@ values of t, and that max is v_p of the lcm.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,16 +134,35 @@ class HomologyReport:
     description: str
 
 
+@functools.cache
+def _bit_halves(width: int) -> tuple[tuple[slice, slice], ...]:
+    """Slice pairs (lo, hi) that pair each mask of `width` bits lacking a bit
+    with the mask that adds it, bit by bit from the lowest.
+
+    Per bit, the fewest slices cover the two halves: strided slices while the
+    bit is low, contiguous blocks once it is high, min(2^i, 2^(width-i-1))
+    pairs for bit i.
+    """
+    size = 1 << width
+    pairs = []
+    for i in range(width):
+        bit = 1 << i
+        step = bit << 1
+        if bit <= size // step:
+            pairs += [(slice(r, size, step), slice(r + bit, size, step)) for r in range(bit)]
+        else:
+            pairs += [(slice(s, s + bit), slice(s + bit, s + step)) for s in range(0, size, step)]
+    return tuple(pairs)
+
+
 def _moebius(table: list[int], width: int) -> list[int]:
     """Turn table[S] = sum of f(T) over T ⊆ S into f(S), in place.
 
-    Masks run over `width` bits, below len(table).
+    The table holds the 2^width masks of `width` bits.
     """
-    for i in range(width):
-        bit = 1 << i
-        for mask in range(bit, len(table)):
-            if mask & bit:
-                table[mask] -= table[mask ^ bit]
+    sub = operator.sub
+    for lo, hi in _bit_halves(width):
+        table[hi] = map(sub, table[hi], table[lo])
     return table
 
 
@@ -169,27 +190,32 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     transform of gcd(a_i : i not in S), in closed form the gcd of the
     complement K over the lcm of the gcds of K + j for j in S (see the
     module docstring); the lcm is checked to divide the gcd on every S.
+
+    That check runs edge by edge: the lcm divides gcd(a_K) exactly when each
+    gcd(a_{K + j}) does, so one pass per bit over the gcd table covers every
+    S; only if an edge fails are the masks scanned in order, to name the
+    first S that fails.  C(S) > 1 needs gcd(a_{K + j}) < g = gcd(a_K) for
+    every j in S, that is g dividing no a_j outside K, so K is closed:
+    K = {i : g | a_i}.  Only these complements, one per gcd value g > 1 of
+    the subsets, are read.
     """
     k = len(a)
     full = (1 << k) - 1
     kap = a.subset_kappa
-    comp = a.subset_gcd[::-1]  # comp[S] = gcd of the exponents outside S
-    lcm = math.lcm
+    gcds = a.subset_gcd
+    if any(any(map(operator.mod, gcds[lo], gcds[hi])) for lo, hi in _bit_halves(k)):
+        _refuse_first_non_integral(a)
     factor: dict[int, int] = {}  # kappa value -> product of the C it carries
-    for mask in range(full):
-        den, rest = 1, mask
-        while rest:
-            bit = rest & -rest
-            den = lcm(den, comp[mask ^ bit])
-            rest ^= bit
-        c, r = divmod(comp[mask], den)
-        if r:
-            sub = tuple(i for i in range(k) if mask >> i & 1)
-            raise HomologyInvariantError(
-                f"C{sub} = {comp[mask]}/{den} is not integral for {tuple(a)}"
-            )
-        if (k - mask.bit_count()) % 2 == 1 and kap[mask] > 0:
-            factor[kap[mask]] = factor.get(kap[mask], 1) * c
+    # The masks with gcd g are closed under union, so the last of them is
+    # the closed K_g; g = 0 is the empty set and g = 1 gives C(S) = 1.
+    closures = dict(zip(gcds, range(full + 1)))
+    del closures[0]
+    closures.pop(1, None)
+    for g, closed in closures.items():
+        mask = full ^ closed
+        if closed.bit_count() % 2 == 1 and kap[mask] > 0:
+            den = math.lcm(*(gcds[closed | 1 << j] for j in range(k) if mask >> j & 1))
+            factor[kap[mask]] = factor.get(kap[mask], 1) * (g // den)
 
     # d_j as (order, run length) runs for j = 1, 2, ...
     levels = sorted(factor)
@@ -202,6 +228,23 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
         if prev % nxt:
             raise HomologyInvariantError(f"torsion chain broken for {tuple(a)}: {runs}")
     return tuple(d for d, length in runs if d != 1 for _ in range(length))
+
+
+def _refuse_first_non_integral(a: ExponentVector) -> None:
+    """Raise on the first proper S, in mask order, whose C(S) is not integral."""
+    k = len(a)
+    comp = a.subset_gcd[::-1]  # comp[S] = gcd of the exponents outside S
+    for mask in range((1 << k) - 1):
+        den, rest = 1, mask
+        while rest:
+            bit = rest & -rest
+            den = math.lcm(den, comp[mask ^ bit])
+            rest ^= bit
+        if comp[mask] % den:
+            sub = tuple(i for i in range(k) if mask >> i & 1)
+            raise HomologyInvariantError(
+                f"C{sub} = {comp[mask]}/{den} is not integral for {tuple(a)}"
+            )
 
 
 def full_homology(a: ExponentVector) -> HomologyReport:

@@ -67,6 +67,9 @@ CASES = [
     (["ch", "6", "2", "2", "2", "--window", "9:1"], None),
     (["ch", "6", "2", "2", "2", "--window", "a:b"], None),
     (["exotic", "--primes", "3", "5", "--window", "0:1"], None),
+    (["homology", "2", "2", "3", "3", "4", "2", "6", "2", "3"], None),
+    (["homology", "8", "4", "4", "2", "2", "2", "2", "2", "2"], None),
+    (["homology", "4", "8", "12", "16", "2", "2", "--format", "text"], None),
 ]
 
 

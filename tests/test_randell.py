@@ -16,7 +16,13 @@ from brieskorn_ch.randell import (
     orbit_space_rational_homology,
     torsion,
 )
-from randell_oracle import c_oracle, c_prime_power_oracle, kappa_oracle, torsion_oracle
+from randell_oracle import (
+    c_oracle,
+    c_prime_power_oracle,
+    kappa_oracle,
+    powerset,
+    torsion_oracle,
+)
 
 ALL = (0, 1, 2, 3)
 
@@ -181,6 +187,33 @@ def test_torsion_matches_both_oracles_where_exponents_share_prime_powers():
         assert torsion(ev) == torsion_oracle(a), a
         assert c_prime_power_oracle(a) == c_oracle(a), a
         checked += 1
+    # Eight to ten exponents, under the same cap: with these entries alone
+    # nine or ten of them almost never stay under it, so 2 and 3 join them.
+    for k in (8, 9, 10):
+        checked = 0
+        while checked < 2:
+            a = tuple(rng.choice(entries + (2, 3)) for _ in range(k))
+            ev = ExponentVector(a)
+            if max(ev.subset_kappa[m] for m in range(1 << k) if (k - m.bit_count()) % 2) > 20_000:
+                continue
+            assert torsion(ev) == torsion_oracle(a), a
+            assert c_prime_power_oracle(a) == c_oracle(a), a
+            checked += 1
+
+
+def test_torsion_factors_sit_on_closed_complements():
+    # C(S) > 1 needs the complement K of S to be closed: K = {i : g | a_i}
+    # for g = gcd(a_K).  On every other proper S the recursion gives 1.
+    rng = random.Random(43)
+    entries = (2, 3, 4, 6, 8, 9, 12, 16, 27)
+    for _ in range(40):
+        a = tuple(rng.choice(entries) for _ in range(rng.randint(4, 9)))
+        full = range(len(a))
+        gcds = {math.gcd(*(a[i] for i in sub)) for sub in powerset(full) if sub}
+        closed = {tuple(i for i in full if a[i] % g == 0) for g in gcds if g > 1}
+        for sub, c in c_oracle(a).items():
+            if tuple(i for i in full if i not in sub) not in closed:
+                assert c == 1, (a, sub)
 
 
 def test_torsion_refuses_a_non_integral_factor():
@@ -191,6 +224,50 @@ def test_torsion_refuses_a_non_integral_factor():
     fresh.__dict__["subset_gcd"] = table
     with pytest.raises(HomologyInvariantError, match=r"C\(0,\) = 2/6 is not integral"):
         torsion(fresh)
+
+
+def test_torsion_names_the_first_non_integral_factor():
+    # gcd(8, 6) = 2 written as 10 fails two subsets, {0, 1, 2, 4, 5} and
+    # {0, 2, 3, 4, 5}; the first one in mask order is named
+    a = (12, 8, 18, 6, 9, 4)
+    table = list(ExponentVector(a).subset_gcd)
+    table[0b001010] *= 5
+    fresh = ExponentVector(a)
+    fresh.__dict__["subset_gcd"] = table
+    with pytest.raises(HomologyInvariantError, match=r"C\(0, 1, 2, 4, 5\) = 6/30 is not integral"):
+        torsion(fresh)
+
+
+def test_moebius_inverts_the_subset_sum():
+    # Widths 0-12, entries negative and up to 200 bits.  Bit i of width w
+    # runs over min(2^i, 2^(w-i-1)) slice pairs: strided slices below the
+    # crossover 2^i = 2^(w-i-1), which odd widths reach, blocks above it.
+    rng = random.Random(17)
+    layouts = Counter()
+    for width in range(13):
+        size = 1 << width
+        f = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 70, 200))) for _ in range(size)]
+        table = []
+        for s in range(size):
+            total, t = f[0], s
+            while t:  # every nonempty submask of s
+                total += f[t]
+                t = (t - 1) & s
+            table.append(total)
+        assert randell._moebius(table, width) == f, width
+
+        pairs = iter(randell._bit_halves(width))
+        for i in range(width):
+            bit = 1 << i
+            covered = []
+            for lo, hi in itertools.islice(pairs, min(bit, size >> i + 1)):
+                assert [m + bit for m in range(size)[lo]] == list(range(size)[hi])
+                covered += range(size)[lo]
+                layouts["strided" if lo.step else "blocked"] += 1
+            assert sorted(covered) == [m for m in range(size) if not m & bit], (width, i)
+            layouts["crossover"] += bit == size >> i + 1
+        assert next(pairs, None) is None
+    assert min(layouts.values()) > 1 and len(layouts) == 3
 
 
 def test_full_homology_does_no_rational_arithmetic(monkeypatch):

@@ -367,18 +367,18 @@ def _cmd_ch(args):
     return payload, diagnostics, code
 
 
-def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
+def _counts_from_envelope(obj: dict) -> GeneratorCounts:
     if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"{path}: not a schema-{SCHEMA_VERSION} envelope")
+        raise ValueError(f"not a schema-{SCHEMA_VERSION} envelope")
     payload = obj.get("payload", {})
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: malformed envelope payload")
+        raise ValueError("malformed envelope payload")
     if "generator_counts" in payload:
         kind = "sum"
     elif "ranks" in payload and "exponents" in payload:
         kind = "ch"
     else:
-        raise ValueError(f"{path}: envelope carries no generator counts")
+        raise ValueError("envelope carries no generator counts")
     # JSON adds two faults the report types cannot see: a number that is
     # not an exact int, and a degree listed twice.  The types refuse the rest.
     try:
@@ -398,18 +398,18 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
         else:
             total = GeneratorCounts.of_ranks(GradedRanks(ranks=counts, window=edges), n)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed {kind} payload") from exc
+        raise ValueError(f"malformed {kind} payload") from exc
     if kind == "ch":
         # Counts mean something only for an invariant whose degrees are
         # bounded below: a well-defined, index-positive report.
         if payload.get("well_defined") is not True:
             raise ValueError(
-                f"{path}: contact homology not well defined (generators in degree"
+                "contact homology not well defined (generators in degree"
                 " -1, 0 or 1); its counts cannot be summed"
             )
         if sign != "positive":
             raise ValueError(
-                f"{path}: index character is {sign}, so degrees are unbounded below;"
+                f"index character is {sign}, so degrees are unbounded below;"
                 " only index-positive reports can be summed"
             )
         # Such a report has every generator in degree 2 or above (degrees
@@ -417,7 +417,7 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
         # below 2 misses none of them.
         if edges[0] > 2:
             raise ValueError(
-                f"{path}: window starts at {edges[0]}, so generators below it are missing;"
+                f"window starts at {edges[0]}, so generators below it are missing;"
                 " only reports whose window starts at or below 2 can be summed"
             )
     return total
@@ -426,12 +426,12 @@ def _counts_from_envelope(obj: dict, path: str) -> GeneratorCounts:
 def _cmd_sum(args):
     counts_list = []
     for path in args.files:
+        # The one place that names the file, for every fault of reading or checking it.
         try:
             with open(path, encoding="utf-8") as handle:
-                obj = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+                counts_list.append(_counts_from_envelope(json.load(handle)))
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        counts_list.append(_counts_from_envelope(obj, path))
 
     if args.beta_n is not None:
         for counts, path in zip(counts_list, args.files):

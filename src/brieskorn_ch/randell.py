@@ -193,18 +193,24 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
 
     That check runs edge by edge: the lcm divides gcd(a_K) exactly when each
     gcd(a_{K + j}) does, so one pass per bit over the gcd table covers every
-    S; only if an edge fails are the masks scanned in order, to name the
-    first S that fails.  C(S) > 1 needs gcd(a_{K + j}) < g = gcd(a_K) for
-    every j in S, that is g dividing no a_j outside K, so K is closed:
-    K = {i : g | a_i}.  Only these complements, one per gcd value g > 1 of
-    the subsets, are read.
+    S, and the first S in mask order that fails is the least complement of
+    a failing edge (K, K + j), so no mask is rescanned to name it.  C(S) > 1
+    needs gcd(a_{K + j}) < g = gcd(a_K) for every j in S, that is g dividing
+    no a_j outside K, so K is closed: K = {i : g | a_i}.  Only these
+    complements, one per gcd value g > 1 of the subsets, are read.
     """
     k = len(a)
     full = (1 << k) - 1
     kap = a.subset_kappa
     gcds = a.subset_gcd
     if any(any(map(operator.mod, gcds[lo], gcds[hi])) for lo, hi in _bit_halves(k)):
-        _refuse_first_non_integral(a)
+        # The least failing S is the complement of the largest failing K.
+        masks = range(full + 1)
+        rest = max(K for lo, hi in _bit_halves(k)
+                   for K, g, h in zip(masks[lo], gcds[lo], gcds[hi]) if g % h)
+        sub = tuple(j for j in range(k) if not rest >> j & 1)
+        den = math.lcm(*(gcds[rest | 1 << j] for j in sub))
+        raise HomologyInvariantError(f"C{sub} = {gcds[rest]}/{den} is not integral for {tuple(a)}")
     factor: dict[int, int] = {}  # kappa value -> product of the C it carries
     # The masks with gcd g are closed under union, so the last of them is
     # the closed K_g; g = 0 is the empty set and g = 1 gives C(S) = 1.
@@ -228,23 +234,6 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
         if prev % nxt:
             raise HomologyInvariantError(f"torsion chain broken for {tuple(a)}: {runs}")
     return tuple(d for d, length in runs if d != 1 for _ in range(length))
-
-
-def _refuse_first_non_integral(a: ExponentVector) -> None:
-    """Raise on the first proper S, in mask order, whose C(S) is not integral."""
-    k = len(a)
-    comp = a.subset_gcd[::-1]  # comp[S] = gcd of the exponents outside S
-    for mask in range((1 << k) - 1):
-        den, rest = 1, mask
-        while rest:
-            bit = rest & -rest
-            den = math.lcm(den, comp[mask ^ bit])
-            rest ^= bit
-        if comp[mask] % den:
-            sub = tuple(i for i in range(k) if mask >> i & 1)
-            raise HomologyInvariantError(
-                f"C{sub} = {comp[mask]}/{den} is not integral for {tuple(a)}"
-            )
 
 
 def full_homology(a: ExponentVector) -> HomologyReport:

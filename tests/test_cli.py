@@ -326,6 +326,24 @@ def test_sum_refuses_a_malformed_payload(capsys, tmp_path, payload, reason):
     assert err == f"error: {bad}: {reason}\n"
 
 
+# Faults the JSON reader itself raises: each names the file, none escapes main.
+@pytest.mark.parametrize("content, reason", [
+    (b"[" * 100_000, "maximum recursion depth exceeded"),
+    (b'{"a": ' * 100_000, "maximum recursion depth exceeded"),
+    (b'{"schema_version": "\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+    (b'{"schema_version": "1", "payload": {"generator_counts": {"counts": [[2, 1]], "cutoff": 1'
+     + b"0" * 4_999 + b', "half_dim_n": 3}}}', "Exceeds the limit"),
+], ids=["nested-array", "nested-object", "not-utf8", "5000-digit-int"])
+def test_sum_names_the_file_for_every_fault_of_the_reader(capsys, tmp_path, content, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "sum", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: {reason}")
+    assert err.count("\n") == 1
+
+
 def test_sum_reads_back_every_summable_envelope_the_cli_writes(capsys, tmp_path):
     # The reader refuses what the report types refuse; nothing the writer
     # emits as summable may be among it.  A file summed alone is its counts.

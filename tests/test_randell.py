@@ -19,6 +19,7 @@ from brieskorn_ch.randell import (
 from randell_oracle import (
     c_oracle,
     c_prime_power_oracle,
+    first_non_integral,
     kappa_oracle,
     powerset,
     torsion_oracle,
@@ -236,6 +237,32 @@ def test_torsion_names_the_first_non_integral_factor():
     fresh.__dict__["subset_gcd"] = table
     with pytest.raises(HomologyInvariantError, match=r"C\(0, 1, 2, 4, 5\) = 6/30 is not integral"):
         torsion(fresh)
+
+
+def test_torsion_refuses_like_the_per_mask_scan():
+    # 1-3 gcd entries multiplied by 2, 3, 5 or 7: torsion names the first
+    # non-integral S in mask order, as a full per-mask scan finds it
+    rng = random.Random(14)
+    refused = 0
+    for _ in range(300):
+        a = tuple(rng.choice((2, 3, 4, 6, 8, 9, 10, 12, 15, 18, 30)) for _ in range(rng.randint(4, 9)))
+        table = list(ExponentVector(a).subset_gcd)
+        for mask in rng.sample(range(1, len(table)), rng.randint(1, 3)):
+            table[mask] *= rng.choice((2, 3, 5, 7))
+        fresh = ExponentVector(a)
+        fresh.__dict__["subset_gcd"] = table
+        expected = first_non_integral(a, table)
+        try:
+            torsion(fresh)
+            outcome = None
+        except HomologyInvariantError as exc:
+            outcome = str(exc)
+        if expected is None:  # a corrupted table may still break the torsion chain
+            assert outcome is None or "torsion chain broken" in outcome
+        else:
+            refused += 1
+            assert outcome == expected
+    assert refused > 250
 
 
 def test_moebius_inverts_the_subset_sum():

@@ -167,17 +167,18 @@ def _multipliers(period: int, shift: int, lo: int, hi: int) -> range:
 
 
 def _scan(
-    plans: tuple[_Plan, ...], shift: int, n: int, lo: int, hi: int, rows: list | None = None
-) -> dict[int, int]:
-    """Ranks of the contributions with degree in [lo, hi], and their rows if asked.
+    plans: tuple[_Plan, ...], shift: int, n: int, lo: int, hi: int
+) -> tuple[dict[int, int], list[tuple[int, int, int, int, int]]]:
+    """Ranks of the contributions with degree in [lo, hi], and their rows.
 
     Complete: every degree of the N-fold cover of a type lies in
     [slope*N - 2, slope*N + 2(n-2)], slope = shift/period (floor(x) > x - 1
     on one side, floor(x) <= x on the other, equality reachable on the
     principal type), and only the N whose band meets the window are
-    visited.  Rows are appended ascending by (m, N, j).
+    visited.  Rows are (m, N, j, degree, count), ascending by (m, N, j).
     """
     ranks: dict[int, int] = {}
+    rows = []
     for m, period, outside, coef, const, homology in plans:
         for N in _multipliers(period, shift, lo - 2 * (n - 2), hi + 2):
             total = N * m
@@ -193,9 +194,8 @@ def _scan(
                     degree = base + j
                     if lo <= degree <= hi:
                         ranks[degree] = ranks.get(degree, 0) + count
-                        if rows is not None:
-                            rows.append((m, N, j, degree, count))
-    return ranks
+                        rows.append((m, N, j, degree, count))
+    return ranks, rows
 
 
 def ch_ranks(a: ExponentVector, window: tuple[int, int]) -> GradedRanks:
@@ -216,7 +216,7 @@ def ranks_up_to(a: ExponentVector, hi: int) -> GradedRanks:
     # The least degree is above slope*N - 2 >= slope - 2, and slope =
     # shift/period grows with m: the type of least m sets the floor.
     lo = min(hi, shift // plans[0].period - 2)
-    ranks = _scan(plans, shift, a.n, lo, hi)
+    ranks, _ = _scan(plans, shift, a.n, lo, hi)
     return GradedRanks(ranks=ranks, window=(lo, hi))
 
 
@@ -232,15 +232,14 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
         raise ValueError("window must satisfy lo <= hi")
     character, plans = _plans(a)
     shift = period_shift(a)
-    rows: list[tuple[int, int, int, int, int]] = []
-    ranks = _scan(plans, shift, a.n, lo, hi, rows)
+    ranks, rows = _scan(plans, shift, a.n, lo, hi)
     return CHReport(
         exponents=a,
         character=character,
         ranks=GradedRanks(ranks=ranks, window=(lo, hi)),
         period_shift=shift,
         period_multipliers={p.m: p.period for p in plans},
-        well_defined=not _scan(plans, shift, a.n, -1, 1),
+        well_defined=not _scan(plans, shift, a.n, -1, 1)[0],
         rows=tuple(rows),
     )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,28 +75,20 @@ class ExponentVector:
     @cached_property
     def subset_lcm(self) -> list[int]:
         """Lcm of the exponents over each index subset, by bitmask, built on first use."""
-        table = [1]  # the empty set; each exponent appends the subsets that hold it
-        for x in self.a:
-            table += [math.lcm(m, x) for m in table]
-        return table
+        return _subset_table(self.a, math.lcm, 1)
 
     @cached_property
     def subset_gcd(self) -> list[int]:
         """Gcd of the exponents over each index subset, by bitmask (0 on the empty set)."""
-        table = [0]
-        for x in self.a:
-            table += [math.gcd(g, x) for g in table]
-        return table
+        return _subset_table(self.a, math.gcd, 0)
 
     @cached_property
     def subset_kappa(self) -> list[int]:
-        """Kappa of each index subset, by bitmask: the additive Möbius transform
-        of prod/lcm (which gains gcd(lcm T, x) as x joins T), built on first use.
-        Entry S mixes only subsets of S, so it is kappa of S alone.
+        """Kappa of each index subset, by bitmask, built on first use: the additive
+        Möbius transform of Randell's prod(a_T) // lcm(a_T); entry S is kappa of S alone.
         """
-        table = [1]
-        for x in self.a:
-            table += [f * math.gcd(m, x) for f, m in zip(table, self.subset_lcm)]
+        prods = _subset_table(self.a, operator.mul, 1)
+        table = list(map(operator.floordiv, prods, self.subset_lcm))
         _moebius(table, len(self.a))
         if min(table) < 0:
             raise HomologyInvariantError(f"negative kappa on a subset of {self.a}")
@@ -132,6 +124,14 @@ class HomologyReport:
     full_graded: dict[int, tuple[int, tuple[int, ...]]]
     homotopy_sphere: bool
     description: str
+
+
+def _subset_table(a: tuple[int, ...], op: Callable[[int, int], int], empty: int) -> list[int]:
+    """`op` over each index subset of `a`, by bitmask: each exponent doubles the table."""
+    table = [empty]
+    for x in a:
+        table += [op(v, x) for v in table]
+    return table
 
 
 @functools.cache

@@ -316,6 +316,8 @@ def summable_ch_payload(ranks, window=(0, 12), exponents=(6, 2, 2, 2)):
     (summable_ch_payload([[0, 1]], window=(2, 12)), "malformed ch payload"),
     (counts_payload([[2, 1]], n=-5), "malformed sum payload"),
     (counts_payload([[2, 1]], n=1), "malformed sum payload"),
+    ({"exponents": [6, 2, 2, 2]}, "envelope carries no generator counts"),
+    (summable_ch_payload([[2, 0]]), "malformed ch payload"),
 ])
 def test_sum_refuses_a_malformed_payload(capsys, tmp_path, payload, reason):
     bad = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -70,6 +71,8 @@ CASES = [
     (["homology", "2", "2", "3", "3", "4", "2", "6", "2", "3"], None),
     (["homology", "8", "4", "4", "2", "2", "2", "2", "2", "2"], None),
     (["homology", "4", "8", "12", "16", "2", "2", "--format", "text"], None),
+    (["ch", "7", "7", "7", "7"], None),
+    (["ch", "7", "7", "7", "7", "--format", "text"], None),
 ]
 
 
@@ -111,6 +114,19 @@ def test_recording_appends_new_runs_and_keeps_recorded_ones(tmp_path, monkeypatc
     short.write_text(changed, encoding="utf-8")
     assert append_new_runs() == 1
     assert short.read_text(encoding="utf-8") == changed
+
+
+def test_module_entry_point_writes_the_recorded_bytes():
+    # `python -m` goes through run() and the __main__ guard, which replay() skips
+    golden = {tuple(g["argv"]): g for g in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    for argv in (["homology", "4", "2", "2", "2"], ["ch", "4", "4", "4", "4"]):
+        done = subprocess.run([sys.executable, "-m", "brieskorn_ch.cli", *argv], env=env,
+                              capture_output=True, encoding="utf-8")
+        record = {"argv": argv, "exit_code": done.returncode, "stdout": done.stdout,
+                  "stderr": done.stderr}
+        assert record == golden[tuple(argv)], " ".join(argv)
 
 
 def append_new_runs() -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from brieskorn_ch import connected_sum
 from brieskorn_ch.connected_sum import (
     GeneratorCounts,
+    SpecialSphereVerdict,
     beta,
     check_primes,
     combine,
@@ -128,6 +130,19 @@ def test_large_primes_cost_one_modular_power_per_base(monkeypatch):
     assert 0 < len(calls) <= 2 * 13
 
 
+def test_odd_primes_below_20000_match_a_sieve():
+    # A prime p = 3 mod 4 takes no squaring; 53, 61 and 73, the first
+    # p = 1 mod 4 past the bases, reach p - 1 only after one.
+    bound = 20_000
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(bound**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    odd_primes = [p for p in range(3, bound) if sieve[p]]
+    assert [p for p in range(bound) if connected_sum._is_odd_prime(p)] == odd_primes
+
+
 def test_entries_beyond_the_exact_primality_bound_are_refused():
     assert connected_sum.PRIME_BOUND == 3_317_044_064_679_887_385_961_981
     with pytest.raises(ValueError, match="primes must be below"):
@@ -151,6 +166,27 @@ def test_special_sphere_check_small_pair_fails_on_topology():
     assert verdict.low_degree_rank >= 2
     assert verdict.tube_degree_rank == 0
     assert verdict.well_defined and verdict.index_positive
+
+
+PASSING_VERDICT = SpecialSphereVerdict(
+    primes=(3, 5), is_homotopy_sphere=True, low_degree_rank=2, tube_degree_rank=0,
+    ranks_below=(), well_defined=True, index_positive=True,
+)
+
+
+@pytest.mark.parametrize("change, clause", [
+    ({"is_homotopy_sphere": False}, "not a homotopy sphere"),
+    ({"low_degree_rank": 1}, "fewer than two generators in degree 2n-4"),
+    ({"tube_degree_rank": 3}, "generators present in degree 2n-3"),
+    ({"ranks_below": ((0, 1),)}, "generators below degree 2n-4"),
+    ({"well_defined": False}, "homology not well defined or not index-positive"),
+    ({"index_positive": False}, "homology not well defined or not index-positive"),
+], ids=["sphere", "low-degree", "tube-degree", "below", "well-defined", "index-positive"])
+def test_each_failing_clause_is_named_alone(change, clause):
+    assert PASSING_VERDICT.failing_clauses() == ()
+    verdict = dataclasses.replace(PASSING_VERDICT, **change)
+    assert not verdict.passed
+    assert verdict.failing_clauses() == (clause,)
 
 
 def test_special_sphere_check_validates_report():

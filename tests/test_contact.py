@@ -70,6 +70,12 @@ def test_degenerate_is_an_error():
         ch_report(ExponentVector((2, 6, 6, 6)), (0, 10))
 
 
+def test_report_refuses_an_inverted_window():
+    # argparse refuses LO > HI, so the CLI never reaches this refusal
+    with pytest.raises(ValueError, match="window must satisfy lo <= hi"):
+        ch_report(ExponentVector((6, 2, 2, 2)), (5, 3))
+
+
 def test_report_period_data():
     report = ch_report(ExponentVector((6, 2, 2, 2)), (0, 12))
     assert report.period_shift == 8

@@ -9,7 +9,7 @@ Reports go to stdout as a versioned JSON envelope (or an aligned text
 table with the same numbers); diagnostics go to stderr.  Exit codes:
 
     0  success
-    1  usage or malformed input, schema mismatch
+    1  usage or malformed input, schema mismatch, or an answer too large to write
     2  degenerate character (sum of reciprocal exponents is 1)
     3  contact homology not well defined (generators in degree -1, 0, 1)
     4  special-sphere check failed
@@ -443,15 +443,18 @@ def _cmd_sum(args):
     if len(dims) > 1:
         raise ValueError(f"half-dimension mismatch across inputs: {sorted(dims)}")
 
-    total = reduce(combine, counts_list)
     if args.cutoff is not None:
-        cutoff = min(args.cutoff, total.cutoff)
-        total = GeneratorCounts(
-            counts={d: c for d, c in total.counts.items() if d <= cutoff},
-            cutoff=cutoff,
-            half_dim_n=total.half_dim_n,
-        )
-    return {"generator_counts": json_value(total)}, [], EXIT_OK
+        # `combine` keeps the degrees up to the least cutoff, so trimming the
+        # inputs first gives the same sum without the tubes above --cutoff.
+        counts_list = [
+            GeneratorCounts(
+                counts={d: c for d, c in counts.counts.items() if d <= args.cutoff},
+                cutoff=min(args.cutoff, counts.cutoff),
+                half_dim_n=counts.half_dim_n,
+            )
+            for counts in counts_list
+        ]
+    return {"generator_counts": json_value(reduce(combine, counts_list))}, [], EXIT_OK
 
 
 def _cmd_exotic(args):

@@ -159,7 +159,7 @@ def special_sphere_check(primes: tuple[int, ...], report: CHReport) -> SpecialSp
     on a window covering degrees 2n-4 and 2n-3.  The no-lower-generators
     clause is checked by a fresh global scan, not limited to the window.
     """
-    a = report.exponents  # the scans below reuse the subset tables it already holds
+    a = report.exponents  # the scans below reuse the orbit-type plans in its `a.derived`
     if a != sphere_exponents(tuple(primes)):
         raise ValueError("report does not belong to the given primes")
     n = a.n

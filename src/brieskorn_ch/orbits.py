@@ -10,10 +10,11 @@ but both views are used downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exact import lcm_set, subsets  # unused, kept for perfbench's tracer
-from .randell import ExponentVector
+from .randell import ExponentVector, _closure
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,16 @@ class OrbitType:
 def enumerate_orbit_types(a: ExponentVector) -> list[OrbitType]:
     """All orbit types, ascending by return time.
 
-    Every index subset of size >= 2 produces a candidate return time (its
-    lcm, read from the vector's subset table); distinct subsets can share
-    one, so types are keyed by the time and carry the largest generating set.
+    The return times are the lcms of the index subsets of size >= 2.  Every
+    subset lcm m is walked once, with its divisor set J = {j : a_j | m};
+    m is a type's time when |J| >= 2, and then lcm(a_J) = m, so each type
+    carries the largest subset generating its time.
     """
-    times = {m for mask, m in enumerate(a.subset_lcm) if mask.bit_count() >= 2}
     types = []
-    for m in sorted(times):
-        J = tuple(j for j, aj in enumerate(a) if m % aj == 0)
-        assert a.subset_lcm[sum(1 << j for j in J)] == m, "divisor set must regenerate its time"
-        types.append(OrbitType(m=m, J=J))
+    for m in sorted(_closure(a, math.lcm, 1)):
+        J = tuple([j for j, aj in enumerate(a.a) if not m % aj])
+        if len(J) >= 2:
+            types.append(OrbitType(m=m, J=J))
     return types
 
 

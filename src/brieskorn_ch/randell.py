@@ -1,14 +1,16 @@
-"""Homology of Brieskorn manifolds by subset arithmetic on the exponents.
+"""Homology of Brieskorn manifolds by divisor arithmetic on the exponents.
 
 A Brieskorn manifold is cut out of the unit sphere in C^(n+1) by
 z_0^{a_0} + ... + z_n^{a_n} = 0, so everything topological about it is a
 function of the exponent vector (a_0, ..., a_n).  The free rank of the
-middle homology is an alternating sum of products-over-lcm terms taken
-over subsets of the exponents (Randell's kappa), an additive Möbius
-transform over the bitmask tables of the subsets that each exponent vector
-builds once, and the orbit types and orbifolds read.  The torsion's factor
-C(S) is the multiplicative Möbius transform of the complement gcds, which
-has a closed form in integers: with K the complement of S,
+middle homology is Randell's kappa, the coefficient sum of the product of
+(Lambda_{a_j} - 1) over the exponents in the divisor ring, where
+Lambda_x Lambda_y = gcd(x, y) Lambda_{lcm(x, y)} (Milnor and Orlik); the
+product has one term per distinct lcm of a subset, not one per subset.
+The orbit types and the torsion read the sets of subset lcms and gcds,
+each built as a closure.  The torsion's factor C(S) is the multiplicative
+Möbius transform of the complement gcds, which has a closed form in
+integers: with K the complement of S,
 
     C(S) = gcd(a_K) / lcm_{j in S} gcd(a_{K + j}).
 
@@ -22,9 +24,7 @@ values of t, and that max is v_p of the lcm.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,14 +32,18 @@ from functools import cached_property
 
 from .exact import gcd_set, lcm_set, subsets  # unused, kept for perfbench's tracer
 
-MAX_EXPONENTS = 16  # a vector's subset tables hold 2^k entries
+# Pairwise coprime exponents have 2^k distinct subset lcms, and kappa and
+# the orbit types walk every one of them.
+MAX_EXPONENTS = 16
+# The torsion is written one cyclic factor at a time; a longer one is refused.
+MAX_TORSION_FACTORS = 10**6
 
 
 class HomologyInvariantError(RuntimeError):
     """An internal invariant failed.
 
-    A kappa or a torsion factor that must be a nonnegative integer came out
-    otherwise, or the two routes to a Maslov index disagreed.
+    A kappa came out negative, the torsion orders failed to divide one
+    another, or the two routes to a Maslov index disagreed.
     """
 
 
@@ -50,7 +54,8 @@ class ExponentVector:
     At least four exponents (so the manifold is at least 5-dimensional and
     simply connected), each at least 2: a unit exponent flattens the
     divisor bookkeeping for the orbit types and is rejected rather than
-    special-cased.  At most MAX_EXPONENTS: the subset tables grow as 2^k.
+    special-cased.  At most MAX_EXPONENTS: the number of distinct subset
+    lcms can reach 2^k.
     """
 
     a: tuple[int, ...]
@@ -70,34 +75,12 @@ class ExponentVector:
         return len(self.a) - 1
 
     def lcm(self) -> int:
-        return self.subset_lcm[-1]
-
-    @cached_property
-    def subset_lcm(self) -> list[int]:
-        """Lcm of the exponents over each index subset, by bitmask, built on first use."""
-        return _subset_table(self.a, math.lcm, 1)
-
-    @cached_property
-    def subset_gcd(self) -> list[int]:
-        """Gcd of the exponents over each index subset, by bitmask (0 on the empty set)."""
-        return _subset_table(self.a, math.gcd, 0)
-
-    @cached_property
-    def subset_kappa(self) -> list[int]:
-        """Kappa of each index subset, by bitmask, built on first use: the additive
-        Möbius transform of Randell's prod(a_T) // lcm(a_T); entry S is kappa of S alone.
-        """
-        prods = _subset_table(self.a, operator.mul, 1)
-        table = list(map(operator.floordiv, prods, self.subset_lcm))
-        _moebius(table, len(self.a))
-        if min(table) < 0:
-            raise HomologyInvariantError(f"negative kappa on a subset of {self.a}")
-        return table
+        return math.lcm(*self.a)
 
     @cached_property
     def derived(self) -> dict:
         """Tables later stages build from this vector alone (the contact scan's
-        orbit-type plans), kept for as long as the vector, like its subset tables.
+        orbit-type plans), kept for as long as the vector.
         """
         return {}
 
@@ -126,49 +109,32 @@ class HomologyReport:
     description: str
 
 
-def _subset_table(a: tuple[int, ...], op: Callable[[int, int], int], empty: int) -> list[int]:
-    """`op` over each index subset of `a`, by bitmask: each exponent doubles the table."""
-    table = [empty]
-    for x in a:
-        table += [op(v, x) for v in table]
-    return table
-
-
-@functools.cache
-def _bit_halves(width: int) -> tuple[tuple[slice, slice], ...]:
-    """Slice pairs (lo, hi) that pair each mask of `width` bits lacking a bit
-    with the mask that adds it, bit by bit from the lowest.
-
-    Per bit, the fewest slices cover the two halves: strided slices while the
-    bit is low, contiguous blocks once it is high, min(2^i, 2^(width-i-1))
-    pairs for bit i.
-    """
-    size = 1 << width
-    pairs = []
-    for i in range(width):
-        bit = 1 << i
-        step = bit << 1
-        if bit <= size // step:
-            pairs += [(slice(r, size, step), slice(r + bit, size, step)) for r in range(bit)]
-        else:
-            pairs += [(slice(s, s + bit), slice(s + bit, s + step)) for s in range(0, size, step)]
-    return tuple(pairs)
-
-
-def _moebius(table: list[int], width: int) -> list[int]:
-    """Turn table[S] = sum of f(T) over T ⊆ S into f(S), in place.
-
-    The table holds the 2^width masks of `width` bits.
-    """
-    sub = operator.sub
-    for lo, hi in _bit_halves(width):
-        table[hi] = map(sub, table[hi], table[lo])
-    return table
+def _closure(values: Iterable[int], op: Callable[[int, int], int], empty: int) -> set[int]:
+    """The values of `op` over every subset of `values` (`empty` on the empty one)."""
+    reached = {empty}
+    for x in values:
+        reached |= {op(v, x) for v in reached}
+    return reached
 
 
 def _kappa_raw(a: ExponentVector, support: Iterable[int]) -> int:
-    """Kappa of `support`; no size restriction on it."""
-    return a.subset_kappa[sum(1 << i for i in support)]
+    """Kappa of `support`, no size restriction on it: the product of
+    (Lambda_{a_j} - 1) over j in `support`, as {lcm: coefficient}, summed.
+    """
+    terms = {1: 1}
+    for x in [a.a[j] for j in support]:
+        product = dict.fromkeys(terms, 0)
+        # Lambda_m (Lambda_x - 1) = g Lambda_top - Lambda_m, g = gcd(m, x), top = lcm(m, x)
+        for m, c in terms.items():
+            g = math.gcd(m, x)
+            top = m // g * x
+            product[m] -= c
+            product[top] = product.get(top, 0) + c * g
+        terms = product
+    value = sum(terms.values())
+    if value < 0:
+        raise HomologyInvariantError(f"negative kappa on the support {tuple(support)} of {a.a}")
+    return value
 
 
 def kappa(a: ExponentVector, support: Iterable[int]) -> int:
@@ -186,42 +152,26 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
 
     d_j is the product of C(S) over the proper subsets S with an odd
     complement and kappa(S) >= j, so it changes only where j passes such a
-    kappa; trivial factors 1 are dropped.  C(S) is the multiplicative Möbius
-    transform of gcd(a_i : i not in S), in closed form the gcd of the
+    kappa; the tuple ends at the last d_j > 1.  C(S) is the multiplicative
+    Möbius transform of gcd(a_i : i not in S), in closed form the gcd of the
     complement K over the lcm of the gcds of K + j for j in S (see the
-    module docstring); the lcm is checked to divide the gcd on every S.
+    module docstring).  C(S) > 1 needs gcd(a_{K + j}) < g = gcd(a_K) for
+    every j in S, that is g dividing no a_j outside K, so K is closed:
+    K = {i : g | a_i}.  Only these complements, one per gcd value g > 1 of
+    the subsets, are read: C(S) = g / lcm_{j in S} gcd(g, a_j), and kappa(S)
+    only where C(S) > 1, so every run's order exceeds the next one's.
 
-    That check runs edge by edge: the lcm divides gcd(a_K) exactly when each
-    gcd(a_{K + j}) does, so one pass per bit over the gcd table covers every
-    S, and the first S in mask order that fails is the least complement of
-    a failing edge (K, K + j), so no mask is rescanned to name it.  C(S) > 1
-    needs gcd(a_{K + j}) < g = gcd(a_K) for every j in S, that is g dividing
-    no a_j outside K, so K is closed: K = {i : g | a_i}.  Only these
-    complements, one per gcd value g > 1 of the subsets, are read.
+    A torsion of more than MAX_TORSION_FACTORS cyclic factors is refused
+    with its runs named before any tuple is built.
     """
-    k = len(a)
-    full = (1 << k) - 1
-    kap = a.subset_kappa
-    gcds = a.subset_gcd
-    if any(any(map(operator.mod, gcds[lo], gcds[hi])) for lo, hi in _bit_halves(k)):
-        # The least failing S is the complement of the largest failing K.
-        masks = range(full + 1)
-        rest = max(K for lo, hi in _bit_halves(k)
-                   for K, g, h in zip(masks[lo], gcds[lo], gcds[hi]) if g % h)
-        sub = tuple(j for j in range(k) if not rest >> j & 1)
-        den = math.lcm(*(gcds[rest | 1 << j] for j in sub))
-        raise HomologyInvariantError(f"C{sub} = {gcds[rest]}/{den} is not integral for {tuple(a)}")
-    factor: dict[int, int] = {}  # kappa value -> product of the C it carries
-    # The masks with gcd g are closed under union, so the last of them is
-    # the closed K_g; g = 0 is the empty set and g = 1 gives C(S) = 1.
-    closures = dict(zip(gcds, range(full + 1)))
-    del closures[0]
-    closures.pop(1, None)
-    for g, closed in closures.items():
-        mask = full ^ closed
-        if closed.bit_count() % 2 == 1 and kap[mask] > 0:
-            den = math.lcm(*(gcds[closed | 1 << j] for j in range(k) if mask >> j & 1))
-            factor[kap[mask]] = factor.get(kap[mask], 1) * (g // den)
+    factor: dict[int, int] = {}  # kappa value -> product of the C > 1 it carries
+    for g in _closure(a, math.gcd, 0) - {0, 1}:
+        S = [j for j, x in enumerate(a) if x % g]
+        c = g // math.lcm(*(math.gcd(g, a[j]) for j in S))
+        if (len(a) - len(S)) % 2 == 1 and c > 1:
+            level = _kappa_raw(a, S)
+            if level > 0:
+                factor[level] = factor.get(level, 1) * c
 
     # d_j as (order, run length) runs for j = 1, 2, ...
     levels = sorted(factor)
@@ -233,7 +183,11 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     for (prev, _), (nxt, _) in zip(runs, runs[1:]):
         if prev % nxt:
             raise HomologyInvariantError(f"torsion chain broken for {tuple(a)}: {runs}")
-    return tuple(d for d, length in runs if d != 1 for _ in range(length))
+    if sum(length for _, length in runs) > MAX_TORSION_FACTORS:
+        named = " + ".join(f"(Z/{d})^{length}" for d, length in runs)
+        raise ValueError(f"torsion {named} has more than {MAX_TORSION_FACTORS} "
+                         "cyclic factors: too large to write")
+    return tuple(d for d, length in runs for _ in range(length))
 
 
 def full_homology(a: ExponentVector) -> HomologyReport:

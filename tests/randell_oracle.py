@@ -101,28 +101,6 @@ def torsion_oracle(a):
     return tuple(d for d in ds if d != 1)
 
 
-def first_non_integral(a, gcd_table):
-    """The refusal for the first proper S, in mask order, whose C(S) is not integral.
-
-    `gcd_table[K]` stands for gcd(a_i : i in K) and may be corrupted; C(S) is
-    read as gcd(a_K) over the lcm of gcd(a_{K + j}), j in S, with K the
-    complement of S.  Every mask is scanned, one bit at a time.  Returns the
-    message `torsion` raises, or None if every C(S) is integral.
-    """
-    k = len(a)
-    comp = gcd_table[::-1]  # comp[S] = gcd of the exponents outside S
-    for mask in range((1 << k) - 1):
-        den, rest = 1, mask
-        while rest:
-            bit = rest & -rest
-            den = lcm(den, comp[mask ^ bit])
-            rest ^= bit
-        if comp[mask] % den:
-            sub = tuple(i for i in range(k) if mask >> i & 1)
-            return f"C{sub} = {comp[mask]}/{den} is not integral for {tuple(a)}"
-    return None
-
-
 if __name__ == "__main__":
     import sys
 

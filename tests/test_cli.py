@@ -434,28 +434,65 @@ def test_more_than_sixteen_exponents_are_refused(capsys):
     assert err == "error: at most 16 exponents: cost grows as 2^k\n"
 
 
-@pytest.mark.parametrize("argv, transforms", [
-    (["ch", "3", "5", "2", "2", "--window", "0:12"], 1),
-    (["homology", "4", "2", "2", "2"], 1),
-    (["exotic", "--primes", "3", "5"], 1),
-])
-def test_each_command_builds_one_subset_lattice(capsys, monkeypatch, argv, transforms):
-    # Möbius transforms over the subset lattice: kappa once per exponent
-    # vector, however many orbit types and scans read it; torsion reads its
-    # factors off the gcd table in closed form and runs none
+# The orbit types of (3, 5, 2, 2): m = 2, 6, 10, 15, 30.
+_TYPES_3522 = [(2, 3), (0, 2, 3), (1, 2, 3), (0, 1), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("argv, supports", [
+    # one kappa per orbit type, in the plans the window scan and the gate
+    # scan share; the crosscheck reads no kappa
+    (["ch", "3", "5", "2", "2", "--window", "0:12", "--crosscheck"], _TYPES_3522),
+    # the middle rank, then torsion's one odd closed complement: K = {0}, g = 4
+    (["homology", "4", "2", "2", "2"], [(0, 1, 2, 3), (1, 2, 3)]),
+    # the types once, though the report and the scan below degree 2n-4 both
+    # read the plans, then one homology: the middle rank and the complements
+    # of K = {0} (g = 3) and K = {1} (g = 5)
+    (["exotic", "--primes", "3", "5"], _TYPES_3522 + [(0, 1, 2, 3), (1, 2, 3), (0, 2, 3)]),
+], ids=["ch", "homology", "exotic"])
+def test_each_command_computes_each_kappa_it_reads_once(capsys, monkeypatch, argv, supports):
+    # kappa is computed where it is read, with no table behind it: plans
+    # rebuilt per scan or a second homology run would compute theirs again
     from brieskorn_ch import randell
 
     calls = []
-    original = randell._moebius
+    original = randell._kappa_raw
 
-    def counting(table, width):
-        calls.append(width)
-        return original(table, width)
+    def counting(a, support):
+        calls.append(tuple(support))
+        return original(a, calls[-1])
 
-    monkeypatch.setattr(randell, "_moebius", counting)
+    monkeypatch.setattr(randell, "_kappa_raw", counting)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == transforms
+    assert sorted(calls) == sorted(supports)
+
+
+def test_torsion_too_long_to_write_exits_1(capsys):
+    # one run of 45,307,673,784 factors Z/11, refused before it is expanded
+    code, out, err = run(capsys, "homology", *"9 7 11 12 12 12 7 12 8 9 12 8 12 7 7 4".split())
+    assert code == 1
+    assert out == ""
+    assert err == ("error: torsion (Z/11)^45307673784 has more than 1000000 cyclic factors:"
+                   " too large to write\n")
+
+
+def test_sum_cutoff_trims_the_inputs_before_they_are_combined(capsys, monkeypatch, tmp_path):
+    f1 = write_counts_file(tmp_path / "a.json", {4: 1, 12: 2}, 40, 3)
+    f2 = write_counts_file(tmp_path / "b.json", {6: 1, 20: 3}, 30, 3)
+    seen = []
+    original = cli.combine
+
+    def recording(c1, c2):
+        seen.extend((c1.cutoff, c2.cutoff))
+        return original(c1, c2)
+
+    monkeypatch.setattr(cli, "combine", recording)
+    code, envelope, _ = run_json(capsys, "sum", f1, f2, "--cutoff", "10")
+    assert code == 0
+    assert seen and max(seen) <= 10
+    assert envelope["payload"]["generator_counts"] == {
+        "counts": [[3, 1], [4, 1], [5, 1], [6, 1], [7, 1], [9, 1]], "cutoff": 10, "half_dim_n": 3,
+    }
 
 
 def test_crosscheck_checks_each_index_once(capsys, monkeypatch):

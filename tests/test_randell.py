@@ -19,7 +19,6 @@ from brieskorn_ch.randell import (
 from randell_oracle import (
     c_oracle,
     c_prime_power_oracle,
-    first_non_integral,
     kappa_oracle,
     powerset,
     torsion_oracle,
@@ -44,15 +43,21 @@ def test_exponent_vector_refuses_more_than_sixteen_exponents():
         ExponentVector((2,) * 17)
 
 
-def test_subset_tables_are_built_once_per_vector():
+def test_closure_is_the_set_of_subset_lcms_and_gcds():
+    # Every gcd and lcm the closure reaches is that of some index subset,
+    # and every subset's is reached; repeated entries share their values.
     a = ExponentVector((3, 5, 2, 2))
-    assert a.subset_lcm is a.subset_lcm and a.subset_kappa is a.subset_kappa
-    assert a.subset_gcd is a.subset_gcd
-    assert a.subset_lcm[0b0011] == 15 and a.subset_lcm[0] == 1
-    assert a.subset_kappa[0b1100] == kappa(a, (2, 3)) == 1
-    for b in (a, ExponentVector((12, 8, 18, 6, 9))):
-        for mask, g in enumerate(b.subset_gcd):
-            assert g == math.gcd(*(x for i, x in enumerate(b) if mask >> i & 1)), (b, mask)
+    assert a.lcm() == 30 and kappa(a, (2, 3)) == 1
+    rng = random.Random(47)
+    entries = (2, 3, 4, 6, 8, 9, 12)
+    vectors = [a.a, (12, 8, 18, 6, 9)] + [
+        tuple(rng.choice(entries) for _ in range(rng.randint(4, 9))) for _ in range(40)
+    ]
+    for b in vectors:
+        masks = range(1 << len(b))
+        for op, empty in ((math.gcd, 0), (math.lcm, 1)):
+            expected = {op(empty, *(x for i, x in enumerate(b) if mask >> i & 1)) for mask in masks}
+            assert randell._closure(b, op, empty) == expected, (b, op)
 
 
 def test_kappa_examples():
@@ -84,6 +89,34 @@ def test_torsion_examples():
     assert torsion(ExponentVector((7, 7, 7, 7))) == ()
     # frozen from the standalone oracle run
     assert torsion(ExponentVector((2, 3, 3, 3, 3))) == (2, 2, 2, 2, 2, 2)
+
+
+def test_torsion_longer_than_the_limit_is_refused_by_its_runs(monkeypatch):
+    # (2, 3, 3, 3, 3) has six factors Z/2, one run
+    a = ExponentVector((2, 3, 3, 3, 3))
+    monkeypatch.setattr(randell, "MAX_TORSION_FACTORS", 6)
+    assert torsion(a) == (2,) * 6
+    monkeypatch.setattr(randell, "MAX_TORSION_FACTORS", 5)
+    with pytest.raises(ValueError, match=r"^torsion \(Z/2\)\^6 has more than 5 cyclic factors"):
+        torsion(a)
+    # (2, 3, 4, 2, 3, 4, 6) has torsion (6, 6, 3): two runs, both named
+    monkeypatch.setattr(randell, "MAX_TORSION_FACTORS", 2)
+    with pytest.raises(ValueError, match=r"^torsion \(Z/6\)\^2 \+ \(Z/3\)\^1 has more than 2 "):
+        torsion(ExponentVector((2, 3, 4, 2, 3, 4, 6)))
+
+
+def test_negative_kappa_is_refused_wherever_it_is_read(monkeypatch):
+    # With every gcd read as -1, Lambda_m Lambda_x = -Lambda_{-mx}: each
+    # (Lambda_2 - 1) sums to -2, and an odd number of them to a negative kappa
+    broken = type(math)("math")
+    broken.__dict__.update(math.__dict__, gcd=lambda *args: -1)
+    monkeypatch.setattr(randell, "math", broken)
+    a = ExponentVector((2, 2, 2, 2, 2))
+    assert kappa(a, (0, 1)) == 4
+    with pytest.raises(HomologyInvariantError, match=r"negative kappa on the support \(0, 1, 2\)"):
+        kappa(a, (0, 1, 2))
+    with pytest.raises(HomologyInvariantError, match="negative kappa"):
+        full_homology(a)
 
 
 def test_torsion_unit_cotangent_s4():
@@ -165,8 +198,8 @@ def test_oracle_equivalence_sampled():
 
 
 def test_kappa_closed_form_equal_exponents():
-    for k in range(2, 13):
-        for s in range(2, 7):
+    for k in range(2, 17):
+        for s in [*range(2, 7), *range(11, 17)]:
             ev = ExponentVector((k,) * max(s, 4))
             expected = ((k - 1) ** s - (-1) ** s) // k + (-1) ** s
             assert kappa(ev, tuple(range(s))) == expected
@@ -176,14 +209,18 @@ def test_torsion_matches_both_oracles_where_exponents_share_prime_powers():
     # The closed-form C(S) is most at risk where several exponents share
     # higher powers of 2 and 3; entries 2-9 rarely do.  The torsion tuple
     # is as long as the largest odd-complement kappa, so big ones are skipped.
+    def too_large(ev):
+        k = len(ev)
+        return any(kappa(ev, S) > 20_000 for size in range(2, k) if (k - size) % 2
+                   for S in itertools.combinations(range(k), size))
+
     rng = random.Random(41)
     entries = (4, 8, 9, 12, 16, 18, 24, 27, 36)
     checked = 0
     while checked < 50:
         a = tuple(rng.choice(entries) for _ in range(rng.randint(4, 7)))
         ev = ExponentVector(a)
-        k = len(a)
-        if max(ev.subset_kappa[m] for m in range(1 << k) if (k - m.bit_count()) % 2) > 20_000:
+        if too_large(ev):
             continue
         assert torsion(ev) == torsion_oracle(a), a
         assert c_prime_power_oracle(a) == c_oracle(a), a
@@ -195,7 +232,7 @@ def test_torsion_matches_both_oracles_where_exponents_share_prime_powers():
         while checked < 2:
             a = tuple(rng.choice(entries + (2, 3)) for _ in range(k))
             ev = ExponentVector(a)
-            if max(ev.subset_kappa[m] for m in range(1 << k) if (k - m.bit_count()) % 2) > 20_000:
+            if too_large(ev):
                 continue
             assert torsion(ev) == torsion_oracle(a), a
             assert c_prime_power_oracle(a) == c_oracle(a), a
@@ -215,86 +252,6 @@ def test_torsion_factors_sit_on_closed_complements():
         for sub, c in c_oracle(a).items():
             if tuple(i for i in full if i not in sub) not in closed:
                 assert c == 1, (a, sub)
-
-
-def test_torsion_refuses_a_non_integral_factor():
-    # gcd(4, 2, 2, 2) = 2 written as 6: C({0}) = gcd(2, 2, 2) / 6
-    table = list(ExponentVector((4, 2, 2, 2)).subset_gcd)
-    table[-1] *= 3
-    fresh = ExponentVector((4, 2, 2, 2))
-    fresh.__dict__["subset_gcd"] = table
-    with pytest.raises(HomologyInvariantError, match=r"C\(0,\) = 2/6 is not integral"):
-        torsion(fresh)
-
-
-def test_torsion_names_the_first_non_integral_factor():
-    # gcd(8, 6) = 2 written as 10 fails two subsets, {0, 1, 2, 4, 5} and
-    # {0, 2, 3, 4, 5}; the first one in mask order is named
-    a = (12, 8, 18, 6, 9, 4)
-    table = list(ExponentVector(a).subset_gcd)
-    table[0b001010] *= 5
-    fresh = ExponentVector(a)
-    fresh.__dict__["subset_gcd"] = table
-    with pytest.raises(HomologyInvariantError, match=r"C\(0, 1, 2, 4, 5\) = 6/30 is not integral"):
-        torsion(fresh)
-
-
-def test_torsion_refuses_like_the_per_mask_scan():
-    # 1-3 gcd entries multiplied by 2, 3, 5 or 7: torsion names the first
-    # non-integral S in mask order, as a full per-mask scan finds it
-    rng = random.Random(14)
-    refused = 0
-    for _ in range(300):
-        a = tuple(rng.choice((2, 3, 4, 6, 8, 9, 10, 12, 15, 18, 30)) for _ in range(rng.randint(4, 9)))
-        table = list(ExponentVector(a).subset_gcd)
-        for mask in rng.sample(range(1, len(table)), rng.randint(1, 3)):
-            table[mask] *= rng.choice((2, 3, 5, 7))
-        fresh = ExponentVector(a)
-        fresh.__dict__["subset_gcd"] = table
-        expected = first_non_integral(a, table)
-        try:
-            torsion(fresh)
-            outcome = None
-        except HomologyInvariantError as exc:
-            outcome = str(exc)
-        if expected is None:  # a corrupted table may still break the torsion chain
-            assert outcome is None or "torsion chain broken" in outcome
-        else:
-            refused += 1
-            assert outcome == expected
-    assert refused > 250
-
-
-def test_moebius_inverts_the_subset_sum():
-    # Widths 0-12, entries negative and up to 200 bits.  Bit i of width w
-    # runs over min(2^i, 2^(w-i-1)) slice pairs: strided slices below the
-    # crossover 2^i = 2^(w-i-1), which odd widths reach, blocks above it.
-    rng = random.Random(17)
-    layouts = Counter()
-    for width in range(13):
-        size = 1 << width
-        f = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 70, 200))) for _ in range(size)]
-        table = []
-        for s in range(size):
-            total, t = f[0], s
-            while t:  # every nonempty submask of s
-                total += f[t]
-                t = (t - 1) & s
-            table.append(total)
-        assert randell._moebius(table, width) == f, width
-
-        pairs = iter(randell._bit_halves(width))
-        for i in range(width):
-            bit = 1 << i
-            covered = []
-            for lo, hi in itertools.islice(pairs, min(bit, size >> i + 1)):
-                assert [m + bit for m in range(size)[lo]] == list(range(size)[hi])
-                covered += range(size)[lo]
-                layouts["strided" if lo.step else "blocked"] += 1
-            assert sorted(covered) == [m for m in range(size) if not m & bit], (width, i)
-            layouts["crossover"] += bit == size >> i + 1
-        assert next(pairs, None) is None
-    assert min(layouts.values()) > 1 and len(layouts) == 3
 
 
 def test_full_homology_does_no_rational_arithmetic(monkeypatch):

@@ -28,13 +28,14 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .connected_sum import (
     GeneratorCounts,
     SpecialSphereVerdict,
+    beta,
     combine,
     iterated_sphere_sum,
     special_sphere_check,
@@ -473,17 +474,18 @@ def _cmd_exotic(args):
         return {"verdict": json_value(verdict)}, diagnostics, EXIT_SPHERE_CHECK
 
     sphere = GeneratorCounts.of_ranks(report.ranks, n)
-    # Row r is the r-fold self-sum, so all rows come from one running left
-    # fold, the same fold iterated_sphere_sum(sphere, r) does.
-    folds = list(accumulate([sphere] * args.copies, combine))
-    if not folds:
-        iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
+    final = iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
+    # The r-fold self-sum holds r copies of the sphere's counts and r - 1
+    # tubes, so row r is linear in r and costs no fold.
+    low, tube = 2 * n - 4, 2 * n - 3
+    rows = [
+        (r, r * sphere[low] + (r - 1) * beta(n, low), r * sphere[tube] + (r - 1) * beta(n, tube))
+        for r in range(1, args.copies + 1)
+    ]
     payload = {
         "verdict": json_value(verdict),
-        "iterated_counts": _Table(
-            _ITERATED_KEYS, [(r, f[2 * n - 4], f[2 * n - 3]) for r, f in enumerate(folds, 1)]
-        ),
-        "final_counts": json_value(folds[-1]),
+        "iterated_counts": _Table(_ITERATED_KEYS, rows),
+        "final_counts": json_value(final),
     }
     diagnostics = ["degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"]
     return payload, diagnostics, EXIT_OK

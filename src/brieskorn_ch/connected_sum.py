@@ -17,7 +17,6 @@ running the whole pipeline, not estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations_with_replacement
 
 from .contact import CHReport, GradedRanks, ch_report, ranks_up_to
@@ -105,10 +104,22 @@ def combine(c1: GeneratorCounts, c2: GeneratorCounts) -> GeneratorCounts:
 
 
 def iterated_sphere_sum(sphere: GeneratorCounts, r: int) -> GeneratorCounts:
-    """Counts of the r-fold self-sum (r - 1 combines; r = 1 is the sphere)."""
+    """Counts of the r-fold self-sum; r = 1 is the sphere.
+
+    `combine` is associative, so the sum is built by binary doubling: the
+    2^i-fold sums are squared up and the ones in r's binary digits joined,
+    at most 2 log2(r) combines.
+    """
     if r < 1:
         raise ValueError("need at least one summand")
-    return reduce(combine, [sphere] * r)
+    total, power = None, sphere
+    while True:
+        if r & 1:
+            total = power if total is None else combine(total, power)
+        r >>= 1
+        if not r:
+            return total
+        power = combine(power, power)
 
 
 # Strong-probable-prime tests to the first 13 prime bases decide primality

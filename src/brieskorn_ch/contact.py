@@ -25,7 +25,8 @@ from .maslov import IndexCharacter, classify_index, maslov_orbit_space
 from .maslov import _index_formula  # unused, kept for perfbench's tracer
 from .orbits import OrbitType, enumerate_orbit_types
 from .orbits import valid_multiplier  # unused, kept for perfbench's tracer
-from .randell import ExponentVector, orbit_space_rational_homology
+from .randell import ExponentVector, closed_kappas, orbit_space_betti
+from .randell import orbit_space_rational_homology  # unused, kept for perfbench's tracer
 
 
 class DegenerateContactFormError(ValueError):
@@ -143,16 +144,18 @@ def _plans(a: ExponentVector) -> tuple[IndexCharacter, tuple[_Plan, ...]]:
 
 
 def _build_plans(a: ExponentVector) -> tuple[_Plan, ...]:
+    # The types and their kappas both read the one divisor-ring product.
     n, L = a.n, a.lcm()
+    kappas = closed_kappas(a)
     plans = []
     for t in enumerate_orbit_types(a):
-        outside = tuple(aj for j, aj in enumerate(a) if j not in t.J)
-        ranks = orbit_space_rational_homology(a, t.J)
+        outside = tuple(x for x in a.a if t.m % x)  # the exponents not in J
+        ranks = orbit_space_betti(len(t.J), kappas[t.m])
         plans.append(_Plan(
             m=t.m,
             period=L // t.m,
             outside=outside,
-            coef=2 * sum(t.m // a[j] for j in t.J) - 2 * t.m,
+            coef=2 * sum(t.m // a.a[j] for j in t.J) - 2 * t.m,
             const=len(outside) + (n - 3) - (len(t.J) - 2),
             homology=tuple((j, count) for j, count in enumerate(ranks) if count),
         ))

@@ -10,11 +10,10 @@ but both views are used downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .exact import lcm_set, subsets  # unused, kept for perfbench's tracer
-from .randell import ExponentVector, _closure
+from .randell import ExponentVector, divisor_product
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,13 @@ def enumerate_orbit_types(a: ExponentVector) -> list[OrbitType]:
     """All orbit types, ascending by return time.
 
     The return times are the lcms of the index subsets of size >= 2.  Every
-    subset lcm m is walked once, with its divisor set J = {j : a_j | m};
-    m is a type's time when |J| >= 2, and then lcm(a_J) = m, so each type
-    carries the largest subset generating its time.
+    subset lcm m, read as a key of the divisor-ring product, is walked once,
+    with its divisor set J = {j : a_j | m}; m is a type's time when
+    |J| >= 2, and then lcm(a_J) = m, so each type carries the largest subset
+    generating its time.
     """
     types = []
-    for m in sorted(_closure(a, math.lcm, 1)):
+    for m in divisor_product(a)[0]:
         J = tuple([j for j, aj in enumerate(a.a) if not m % aj])
         if len(J) >= 2:
             types.append(OrbitType(m=m, J=J))

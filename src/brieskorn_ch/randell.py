@@ -7,10 +7,16 @@ middle homology is Randell's kappa, the coefficient sum of the product of
 (Lambda_{a_j} - 1) over the exponents in the divisor ring, where
 Lambda_x Lambda_y = gcd(x, y) Lambda_{lcm(x, y)} (Milnor and Orlik); the
 product has one term per distinct lcm of a subset, not one per subset.
-The orbit types and the torsion read the sets of subset lcms and gcds,
-each built as a closure.  The torsion's factor C(S) is the multiplicative
-Möbius transform of the complement gcds, which has a closed form in
-integers: with K the complement of S,
+Multiplied over every exponent, that product keeps one key per subset
+lcm (a zero coefficient keeps its key).  The orbit types read those keys,
+and each type's kappa is a divisor sum over them: the subsets inside
+J_m = {j : a_j | m} are exactly those whose lcm divides m, so
+
+    kappa(J_m) = (-1)^(k - |J_m|) * sum of the coefficients on the lcms dividing m.
+
+The torsion reads the set of subset gcds, built as a closure.  Its factor
+C(S) is the multiplicative Möbius transform of the complement gcds, which
+has a closed form in integers: with K the complement of S,
 
     C(S) = gcd(a_K) / lcm_{j in S} gcd(a_{K + j}).
 
@@ -29,11 +35,14 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from operator import not_
 
 from .exact import gcd_set, lcm_set, subsets  # unused, kept for perfbench's tracer
 
 # Pairwise coprime exponents have 2^k distinct subset lcms, and kappa and
-# the orbit types walk every one of them.
+# the orbit types walk every one of them; the types' kappas then read
+# 3^k (subset, sub-subset) pairs.
 MAX_EXPONENTS = 16
 # The torsion is written one cyclic factor at a time; a longer one is refused.
 MAX_TORSION_FACTORS = 10**6
@@ -79,13 +88,15 @@ class ExponentVector:
 
     @cached_property
     def derived(self) -> dict:
-        """Tables later stages build from this vector alone (the contact scan's
-        orbit-type plans), kept for as long as the vector.
+        """Tables later stages build from this vector alone (the divisor-ring
+        product and the contact scan's orbit-type plans), kept for as long as
+        the vector.
         """
         return {}
 
     def reciprocal_sum(self) -> Fraction:
-        return sum((Fraction(1, x) for x in self.a), Fraction(0))
+        L = self.lcm()
+        return Fraction(sum(L // x for x in self.a), L)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -117,12 +128,14 @@ def _closure(values: Iterable[int], op: Callable[[int, int], int], empty: int) -
     return reached
 
 
-def _kappa_raw(a: ExponentVector, support: Iterable[int]) -> int:
-    """Kappa of `support`, no size restriction on it: the product of
-    (Lambda_{a_j} - 1) over j in `support`, as {lcm: coefficient}, summed.
+def _ring_product(values: Iterable[int]) -> dict[int, int]:
+    """The product of (Lambda_x - 1) over `values`, as {lcm: coefficient}.
+
+    Every lcm of a subset of `values` is a key, also where its
+    coefficient cancels to zero.
     """
     terms = {1: 1}
-    for x in [a.a[j] for j in support]:
+    for x in values:
         product = dict.fromkeys(terms, 0)
         # Lambda_m (Lambda_x - 1) = g Lambda_top - Lambda_m, g = gcd(m, x), top = lcm(m, x)
         for m, c in terms.items():
@@ -131,10 +144,70 @@ def _kappa_raw(a: ExponentVector, support: Iterable[int]) -> int:
             product[m] -= c
             product[top] = product.get(top, 0) + c * g
         terms = product
-    value = sum(terms.values())
+    return terms
+
+
+def _checked(a: ExponentVector, support: Iterable[int], value: int) -> int:
+    """`value`, the kappa of `support`, refused if negative."""
     if value < 0:
         raise HomologyInvariantError(f"negative kappa on the support {tuple(support)} of {a.a}")
     return value
+
+
+def _kappa_raw(a: ExponentVector, support: Iterable[int]) -> int:
+    """Kappa of `support`, no size restriction on it: the product of
+    (Lambda_{a_j} - 1) over j in `support`, as {lcm: coefficient}, summed.
+    """
+    support = tuple(support)
+    return _checked(a, support, sum(_ring_product([a.a[j] for j in support]).values()))
+
+
+def divisor_product(a: ExponentVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The product of (Lambda_{a_j} - 1) over every exponent: its lcms
+    ascending, which are the subset lcms, and their coefficients.
+
+    Built on first read and kept in `a.derived`.
+    """
+    product = a.derived.get("divisor product")
+    if product is None:
+        terms = _ring_product(a.a)
+        lcms = tuple(sorted(terms))
+        product = a.derived["divisor product"] = (lcms, tuple(map(terms.__getitem__, lcms)))
+    return product
+
+
+def closed_kappas(a: ExponentVector) -> dict[int, int]:
+    """Kappa of J_m = {j : a_j | m} for every subset lcm m with |J_m| >= 2.
+
+    The subsets inside J_m are those whose lcm divides m, so the product
+    over J_m is the full product (`divisor_product`) on the lcms dividing
+    m, times (-1)^(k - |J_m|).  An lcm l divides m exactly when its closed
+    set {j : a_j | l}, kept as a bit mask, lies inside J_m.  Each sum walks
+    the shorter of two lists: the lcms up to m, tested for dividing m, or
+    the 2^|J_m| sub-masks of J_m, looked up among the closed sets.
+    """
+    lcms, coefficients = divisor_product(a)
+    k = len(a)
+    bits = [1 << j for j in range(k)]
+    masks = [sum(compress(bits, map(not_, map(m.__mod__, a.a)))) for m in lcms]
+    by_mask = dict(zip(masks, coefficients))
+    kappas = {}
+    for below, (m, J) in enumerate(zip(lcms, masks), 1):
+        size = J.bit_count()
+        if size < 2:
+            continue
+        if 1 << size < below:
+            total, sub = by_mask[0], J
+            while sub:
+                total += by_mask.get(sub, 0)
+                sub = (sub - 1) & J
+        else:
+            total = sum(compress(coefficients[:below], map(not_, map(m.__mod__, lcms[:below]))))
+        value = total if (k - size) % 2 == 0 else -total
+        if value < 0:  # the support is spelled out only for the refusal
+            _checked(a, [j for j in range(k) if J >> j & 1], value)
+        kappas[m] = value
+    return kappas
 
 
 def kappa(a: ExponentVector, support: Iterable[int]) -> int:
@@ -228,15 +301,20 @@ def full_homology(a: ExponentVector) -> HomologyReport:
     )
 
 
-def orbit_space_rational_homology(a: ExponentVector, support: tuple[int, ...]) -> tuple[int, ...]:
-    """Betti numbers of the orbit space attached to `support`, degrees 0..2|support|-4.
+def orbit_space_betti(size: int, extra: int) -> tuple[int, ...]:
+    """Betti numbers, degrees 0..2*size-4, of an orbit space on `size` indices
+    whose support has kappa `extra`.
 
-    Rank 1 in every even degree, plus kappa of the support in the middle
-    degree.  When |support| is odd the middle degree is odd and the kappa
-    part is the only contribution there.
+    Rank 1 in every even degree, plus `extra` in the middle degree.  When
+    `size` is odd the middle degree is odd and `extra` is the only
+    contribution there.
     """
-    extra = kappa(a, support)  # validates the support
-    dim = 2 * len(support) - 4
+    dim = 2 * size - 4
     ranks = [1 if q % 2 == 0 else 0 for q in range(dim + 1)]
     ranks[dim // 2] += extra
     return tuple(ranks)
+
+
+def orbit_space_rational_homology(a: ExponentVector, support: tuple[int, ...]) -> tuple[int, ...]:
+    """Betti numbers of the orbit space attached to `support`, degrees 0..2|support|-4."""
+    return orbit_space_betti(len(support), kappa(a, support))  # kappa validates the support

@@ -239,6 +239,40 @@ def test_exotic_single_copy_reports_the_sphere_itself(capsys):
     ]
 
 
+@pytest.mark.parametrize("primes", [(3, 5), (3, 5, 7)])
+def test_exotic_rows_equal_a_left_fold_of_combine(capsys, primes):
+    # the rows and the final counts are read off closed forms and a doubling;
+    # a plain running fold of `combine` must give the same numbers
+    from brieskorn_ch.connected_sum import GeneratorCounts, combine, sphere_exponents
+    from brieskorn_ch.contact import ch_report
+
+    a = sphere_exponents(primes)
+    n = a.n
+    sphere = GeneratorCounts.of_ranks(ch_report(a, (0, 2 * n - 2)).ranks, n)
+    folds = [sphere]
+    while len(folds) < 64:
+        folds.append(combine(folds[-1], sphere))
+    argv = ["exotic", "--primes", *map(str, primes), "--copies"]
+    for r, fold in enumerate(folds, 1):
+        code, envelope, _ = run_json(capsys, *argv, str(r))
+        assert code == 0
+        payload = envelope["payload"]
+        assert payload["final_counts"] == {
+            "counts": [list(item) for item in sorted(fold.counts.items())],
+            "cutoff": fold.cutoff,
+            "half_dim_n": n,
+        }
+    assert [(row["copies"], row["low_degree"], row["tube_degree"])
+            for row in payload["iterated_counts"]] == [
+        (r, fold[2 * n - 4], fold[2 * n - 3]) for r, fold in enumerate(folds, 1)
+    ]
+
+
+def test_exotic_refuses_zero_copies(capsys):
+    code, out, err = run(capsys, "exotic", "--primes", "3", "5", "--copies", "0")
+    assert (code, out, err) == (1, "", "error: need at least one summand\n")
+
+
 def test_round_trip_through_sum(capsys, tmp_path):
     # fold a report with an empty summand, then feed the output back in
     code, out, _ = run(capsys, "ch", "2", "2", "2", "2", "--window", "0:8")
@@ -434,37 +468,47 @@ def test_more_than_sixteen_exponents_are_refused(capsys):
     assert err == "error: at most 16 exponents: cost grows as 2^k\n"
 
 
-# The orbit types of (3, 5, 2, 2): m = 2, 6, 10, 15, 30.
-_TYPES_3522 = [(2, 3), (0, 2, 3), (1, 2, 3), (0, 1), (0, 1, 2, 3)]
-
-
-@pytest.mark.parametrize("argv, supports", [
-    # one kappa per orbit type, in the plans the window scan and the gate
-    # scan share; the crosscheck reads no kappa
-    (["ch", "3", "5", "2", "2", "--window", "0:12", "--crosscheck"], _TYPES_3522),
+@pytest.mark.parametrize("argv, supports, products", [
+    # the orbit types and each one's kappa read one divisor-ring product of
+    # the whole vector; no kappa is multiplied out per support, and the
+    # crosscheck reads none
+    (["ch", "3", "5", "2", "2", "--window", "0:12", "--crosscheck"], [], 1),
     # the middle rank, then torsion's one odd closed complement: K = {0}, g = 4
-    (["homology", "4", "2", "2", "2"], [(0, 1, 2, 3), (1, 2, 3)]),
-    # the types once, though the report and the scan below degree 2n-4 both
+    (["homology", "4", "2", "2", "2"], [(0, 1, 2, 3), (1, 2, 3)], 0),
+    # the one product, though the report and the scan below degree 2n-4 both
     # read the plans, then one homology: the middle rank and the complements
     # of K = {0} (g = 3) and K = {1} (g = 5)
-    (["exotic", "--primes", "3", "5"], _TYPES_3522 + [(0, 1, 2, 3), (1, 2, 3), (0, 2, 3)]),
+    (["exotic", "--primes", "3", "5"], [(0, 1, 2, 3), (1, 2, 3), (0, 2, 3)], 1),
 ], ids=["ch", "homology", "exotic"])
-def test_each_command_computes_each_kappa_it_reads_once(capsys, monkeypatch, argv, supports):
-    # kappa is computed where it is read, with no table behind it: plans
-    # rebuilt per scan or a second homology run would compute theirs again
+def test_each_command_computes_each_kappa_it_reads_once(capsys, monkeypatch, argv, supports,
+                                                        products):
+    # a product per type, plans rebuilt per scan or a second homology run
+    # would multiply out more ring products than these
     from brieskorn_ch import randell
 
-    calls = []
-    original = randell._kappa_raw
+    calls, products_outside, depth = [], [], []
+    original, original_ring = randell._kappa_raw, randell._ring_product
 
     def counting(a, support):
         calls.append(tuple(support))
-        return original(a, calls[-1])
+        depth.append(calls[-1])
+        try:
+            return original(a, calls[-1])
+        finally:
+            depth.pop()
+
+    def counting_ring(values):
+        values = tuple(values)
+        if not depth:
+            products_outside.append(values)
+        return original_ring(values)
 
     monkeypatch.setattr(randell, "_kappa_raw", counting)
+    monkeypatch.setattr(randell, "_ring_product", counting_ring)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert sorted(calls) == sorted(supports)
+    assert products_outside == [(3, 5, 2, 2)] * products
 
 
 def test_torsion_too_long_to_write_exits_1(capsys):
@@ -551,20 +595,18 @@ def test_exotic_builds_each_orbit_space_once(capsys, monkeypatch):
     # the report and the sphere check's scan below degree 2n-4 share one
     # plan per orbit type, kept on the exponent vector
     from brieskorn_ch import contact
-    from brieskorn_ch.orbits import enumerate_orbit_types
-    from brieskorn_ch.randell import ExponentVector
 
-    supports = []
-    original = contact.orbit_space_rational_homology
+    built = []
+    original = contact._build_plans
 
-    def counting(a, support):
-        supports.append(support)
-        return original(a, support)
+    def counting(a):
+        built.append(original(a))
+        return built[-1]
 
-    monkeypatch.setattr(contact, "orbit_space_rational_homology", counting)
+    monkeypatch.setattr(contact, "_build_plans", counting)
     code, _, _ = run(capsys, "exotic", "--primes", "3", "5")
     assert code == 0
-    assert supports == [t.J for t in enumerate_orbit_types(ExponentVector((3, 5, 2, 2)))]
+    assert [[p.m for p in plans] for plans in built] == [[2, 6, 10, 15, 30]]
 
 
 @pytest.mark.parametrize("extra", [[], ["--provenance"]])

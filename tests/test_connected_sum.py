@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,34 @@ def test_iterated_sum_is_additive_below_the_tube_degrees():
         total = iterated_sphere_sum(sphere, r)
         assert total[2] == 3 * r
         assert total[4] == r
+
+
+def test_doubling_equals_a_left_fold():
+    # the doubling groups the summands differently; associativity makes it
+    # the same sum, also with even degrees above the first tube degree 2n-3
+    samples = [
+        GeneratorCounts(counts={2: 3, 4: 1, 6: 2, 8: 5}, cutoff=11, half_dim_n=4),
+        GeneratorCounts(counts={1: 1, 2: 2, 3: 1, 4: 7, 8: 1}, cutoff=9, half_dim_n=3),
+        GeneratorCounts(counts={4: 2, 10: 1}, cutoff=10, half_dim_n=4),
+        empty_counts(),
+    ]
+    for sphere in samples:
+        for r in range(1, 71):
+            assert iterated_sphere_sum(sphere, r) == reduce(combine, [sphere] * r), (sphere, r)
+
+
+def test_a_million_copies_take_at_most_forty_combines(monkeypatch):
+    calls = []
+    original = connected_sum.combine
+
+    def counting(c1, c2):
+        calls.append(None)
+        return original(c1, c2)
+
+    monkeypatch.setattr(connected_sum, "combine", counting)
+    total = iterated_sphere_sum(GeneratorCounts(counts={4: 2}, cutoff=9, half_dim_n=4), 10**6)
+    assert len(calls) <= 40
+    assert total.counts == {4: 2 * 10**6, 5: 10**6 - 1, 7: 10**6 - 1, 9: 10**6 - 1}
 
 
 def test_sphere_exponents_validation():

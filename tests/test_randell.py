@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,11 +13,15 @@ from brieskorn_ch.randell import (
     ExponentVector,
     HomologyInvariantError,
     HomologyReport,
+    closed_kappas,
+    divisor_product,
     full_homology,
     kappa,
     orbit_space_rational_homology,
     torsion,
 )
+from brieskorn_ch.cli import main
+from brieskorn_ch.orbits import enumerate_orbit_types
 from randell_oracle import (
     c_oracle,
     c_prime_power_oracle,
@@ -58,6 +64,51 @@ def test_closure_is_the_set_of_subset_lcms_and_gcds():
         for op, empty in ((math.gcd, 0), (math.lcm, 1)):
             expected = {op(empty, *(x for i, x in enumerate(b) if mask >> i & 1)) for mask in masks}
             assert randell._closure(b, op, empty) == expected, (b, op)
+
+
+def random_vectors(seed, count, sizes=(4, 10), entries=(2, 60)):
+    rng = random.Random(seed)
+    return [tuple(rng.randint(*entries) for _ in range(rng.randint(*sizes))) for _ in range(count)]
+
+
+def test_orbit_types_and_their_kappas_come_from_one_product():
+    # The product's lcms are the subset lcms, and the types are those whose
+    # divisor set J has two or more indices; each type's kappa, a divisor
+    # sum over the product, is kappa(J) by the ring and by the oracle's
+    # alternating sum over the subsets of J.
+    for a in random_vectors(2027, 24) + [(2,) * 16, (2, 3, 5, 7, 11, 13), (6, 10, 15, 30)]:
+        ev = ExponentVector(a)
+        lcms, _ = divisor_product(ev)
+        assert list(lcms) == sorted(randell._closure(a, math.lcm, 1)), a
+        types = {m: tuple(j for j, x in enumerate(a) if m % x == 0) for m in lcms}
+        types = {m: J for m, J in types.items() if len(J) >= 2}
+        assert [(t.m, t.J) for t in enumerate_orbit_types(ev)] == list(types.items()), a
+        kappas = closed_kappas(ev)
+        assert list(kappas) == list(types), a
+        for m, J in types.items():
+            assert kappas[m] == kappa(ev, J) == kappa_oracle(a, J), (a, J)
+
+
+def test_a_corrupted_product_coefficient_is_refused_as_a_negative_kappa():
+    # Lowering the coefficient on lcm(a) by kappa(a) + 1 leaves every other
+    # type's divisor sum alone and drives the principal type's kappa to -1.
+    for a in [(3, 5, 2, 2)] + random_vectors(2028, 8):
+        ev = ExponentVector(a)
+        lcms, coefficients = divisor_product(ev)
+        full = kappa(ev, range(len(a)))
+        ev.derived["divisor product"] = (lcms, coefficients[:-1] + (coefficients[-1] - full - 1,))
+        support = re.escape(str(tuple(range(len(a)))))
+        with pytest.raises(HomologyInvariantError, match=f"negative kappa on the support {support}"):
+            closed_kappas(ev)
+
+
+def test_reciprocal_sum_equals_the_unit_fraction_sum():
+    for a in random_vectors(2029, 200, sizes=(4, 16), entries=(2, 400)) + [(2, 3, 7, 42), (2,) * 16]:
+        expected = sum((Fraction(1, x) for x in a), Fraction(0))
+        got = ExponentVector(a).reciprocal_sum()
+        assert got == expected and type(got) is Fraction
+        assert (str(got), got.numerator, got.denominator) == (
+            str(expected), expected.numerator, expected.denominator)
 
 
 def test_kappa_examples():
@@ -117,6 +168,9 @@ def test_negative_kappa_is_refused_wherever_it_is_read(monkeypatch):
         kappa(a, (0, 1, 2))
     with pytest.raises(HomologyInvariantError, match="negative kappa"):
         full_homology(a)
+    with pytest.raises(HomologyInvariantError, match=r"negative kappa on the support \(0, 1, 2, 3, 4\)"):
+        closed_kappas(a)
+    assert main(["ch", "2", "2", "2", "2", "2", "--window", "0:4"]) == 5
 
 
 def test_torsion_unit_cotangent_s4():

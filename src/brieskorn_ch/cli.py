@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -139,7 +138,6 @@ class _Table:
 
 _CONTRIBUTION_KEYS = ("m", "N", "j", "degree", "count")
 _ITERATED_KEYS = ("copies", "low_degree", "tube_degree")
-_INT = frozenset((int,))
 
 
 @cache
@@ -162,9 +160,9 @@ def _dumps(value, pad: str = "\n") -> str:
     `pad` is the newline and indent the value's closing bracket sits on.
     A `_Table` is written as its list of arrays or {key: cell} objects,
     each row through one `%`-template cached per table shape (keys, width,
-    indent).  Only tables whose cells are all exactly `int` reach a
-    template (`%d` would write a bool as 1, where JSON needs true); every
-    other value is written item by item, strings through the C escaper.
+    indent); its cells are ints by construction (`%d` would write a bool as
+    1, where JSON needs true).  Every other value is written item by item,
+    strings through the C escaper.
     The standard library's indented encoder is pure Python and takes
     twice as long on large envelopes.
     """
@@ -177,8 +175,6 @@ def _dumps(value, pad: str = "\n") -> str:
         keys, rows = value.keys, value.rows
         if not rows:
             return "[]"
-        if not _INT.issuperset(map(type, chain.from_iterable(rows))):
-            return _dumps(rows if keys is None else [dict(zip(keys, row)) for row in rows], pad)
         inner = pad + "  "
         template, cells = _row_template(keys, len(rows[0]), inner)
         items = map(template.__mod__, rows if cells is None else map(cells, rows))

@@ -106,20 +106,15 @@ def combine(c1: GeneratorCounts, c2: GeneratorCounts) -> GeneratorCounts:
 def iterated_sphere_sum(sphere: GeneratorCounts, r: int) -> GeneratorCounts:
     """Counts of the r-fold self-sum; r = 1 is the sphere.
 
-    `combine` is associative, so the sum is built by binary doubling: the
-    2^i-fold sums are squared up and the ones in r's binary digits joined,
-    at most 2 log2(r) combines.
+    r copies of the sphere's counts and one tube per join, with no `combine`:
+    r * sphere[d] + (r - 1) * beta(n, d) in degree d.
     """
     if r < 1:
         raise ValueError("need at least one summand")
-    total, power = None, sphere
-    while True:
-        if r & 1:
-            total = power if total is None else combine(total, power)
-        r >>= 1
-        if not r:
-            return total
-        power = combine(power, power)
+    n, cutoff = sphere.half_dim_n, sphere.cutoff
+    degrees = set(sphere.counts).union(range(2 * n - 3, cutoff + 1, 2))
+    counts = {d: c for d in degrees if (c := r * sphere[d] + (r - 1) * beta(n, d))}
+    return GeneratorCounts(counts=counts, cutoff=cutoff, half_dim_n=n)
 
 
 # Strong-probable-prime tests to the first 13 prime bases decide primality

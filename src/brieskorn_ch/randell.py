@@ -9,10 +9,13 @@ Lambda_x Lambda_y = gcd(x, y) Lambda_{lcm(x, y)} (Milnor and Orlik); the
 product has one term per distinct lcm of a subset, not one per subset.
 Multiplied over every exponent, that product keeps one key per subset
 lcm (a zero coefficient keeps its key).  The orbit types read those keys,
-and each type's kappa is a divisor sum over them: the subsets inside
-J_m = {j : a_j | m} are exactly those whose lcm divides m, so
+and every kappa a command reads is a divisor sum over them, on the
+orbit types and the torsion's supports (see `torsion`) alike: the subsets
+inside J_m = {j : a_j | m} are exactly those whose lcm divides m, so
 
-    kappa(J_m) = (-1)^(k - |J_m|) * sum of the coefficients on the lcms dividing m.
+    kappa(J_m) = (-1)^(k - |J_m|) * sum of the coefficients on the lcms dividing m,
+
+the middle rank being the whole sum; `kappa` alone multiplies per support.
 
 The torsion reads the set of subset gcds, built as a closure.  Its factor
 C(S) is the multiplicative Möbius transform of the complement gcds, which
@@ -231,18 +234,23 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     module docstring).  C(S) > 1 needs gcd(a_{K + j}) < g = gcd(a_K) for
     every j in S, that is g dividing no a_j outside K, so K is closed:
     K = {i : g | a_i}.  Only these complements, one per gcd value g > 1 of
-    the subsets, are read: C(S) = g / lcm_{j in S} gcd(g, a_j), and kappa(S)
-    only where C(S) > 1, so every run's order exceeds the next one's.
+    the subsets, are read: C(S) = g / lcm_{j in S} gcd(g, a_j) = g / gcd(g, m),
+    m = lcm(a_S), and kappa(S) only where C(S) > 1, so every run's order
+    exceeds the next one's.  An a_i in K dividing m would make C(S) = 1, so
+    there S = J_m and kappa(S) is minus (|K| is odd) the product's coefficient
+    sum on the lcms dividing m.
 
     A torsion of more than MAX_TORSION_FACTORS cyclic factors is refused
     with its runs named before any tuple is built.
     """
+    lcms, coefficients = divisor_product(a)
     factor: dict[int, int] = {}  # kappa value -> product of the C > 1 it carries
     for g in _closure(a, math.gcd, 0) - {0, 1}:
         S = [j for j, x in enumerate(a) if x % g]
-        c = g // math.lcm(*(math.gcd(g, a[j]) for j in S))
-        if (len(a) - len(S)) % 2 == 1 and c > 1:
-            level = _kappa_raw(a, S)
+        m = math.lcm(*(a[j] for j in S))
+        c = g // math.gcd(g, m)
+        if (len(a) - len(S)) % 2 == 1 and c > 1:  # S is J_m, and |K| is odd
+            level = _checked(a, S, -sum(compress(coefficients, map(not_, map(m.__mod__, lcms)))))
             if level > 0:
                 factor[level] = factor.get(level, 1) * c
 
@@ -274,7 +282,7 @@ def full_homology(a: ExponentVector) -> HomologyReport:
     connected sum of copies of S^2 x S^3.
     """
     n = a.n
-    middle = _kappa_raw(a, range(len(a)))
+    middle = _checked(a, range(len(a)), sum(divisor_product(a)[1]))
     tors = torsion(a)
 
     graded: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}

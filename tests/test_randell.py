@@ -91,15 +91,50 @@ def test_orbit_types_and_their_kappas_come_from_one_product():
 
 def test_a_corrupted_product_coefficient_is_refused_as_a_negative_kappa():
     # Lowering the coefficient on lcm(a) by kappa(a) + 1 leaves every other
-    # type's divisor sum alone and drives the principal type's kappa to -1.
-    for a in [(3, 5, 2, 2)] + random_vectors(2028, 8):
+    # type's divisor sum alone and drives the principal type's kappa, the
+    # middle rank, to -1.
+    for a in [(3, 5, 2, 2), (4, 2, 2, 2)] + random_vectors(2028, 8):
         ev = ExponentVector(a)
         lcms, coefficients = divisor_product(ev)
         full = kappa(ev, range(len(a)))
         ev.derived["divisor product"] = (lcms, coefficients[:-1] + (coefficients[-1] - full - 1,))
         support = re.escape(str(tuple(range(len(a)))))
-        with pytest.raises(HomologyInvariantError, match=f"negative kappa on the support {support}"):
-            closed_kappas(ev)
+        for read in (closed_kappas, full_homology):
+            with pytest.raises(HomologyInvariantError,
+                               match=f"negative kappa on the support {support} of"):
+                read(ev)
+    # Raising it on lcm 2 of (4, 2, 2, 2) drives kappa(1, 2, 3) = 0, which
+    # torsion reads off the coefficients on lcms 1 and 2 (K = {0}, g = 4), to -1.
+    ev = ExponentVector((4, 2, 2, 2))
+    lcms, (one, two, four) = divisor_product(ev)
+    assert lcms == (1, 2, 4)
+    ev.derived["divisor product"] = (lcms, (one, two + 1, four))
+    with pytest.raises(HomologyInvariantError, match=r"negative kappa on the support \(1, 2, 3\) of"):
+        full_homology(ev)
+
+
+def test_every_support_torsion_reads_is_closed_and_read_off_the_product():
+    # C(S) > 1 on an odd complement K forces S = J_m, m = lcm(a_S): an a_i in
+    # K dividing m would make g = gcd(a_K) divide m, and C(S) = g / gcd(g, m)
+    # = 1.  Its kappa is then minus the product's coefficient sum on the lcms
+    # dividing m.  C(S) comes from the prime-power oracle, not from `torsion`.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    vectors = random_vectors(2029, 40, sizes=(4, 12))
+    read = []
+    for a in vectors + [primes, (2,) * 16, (6, 10, 15, 30, 2, 3)]:
+        ev = ExponentVector(a)
+        lcms, coefficients = divisor_product(ev)
+        for S, c in c_prime_power_oracle(a).items():
+            if c == 1 or (len(a) - len(S)) % 2 == 0:
+                continue
+            m = math.lcm(*(a[j] for j in S))
+            assert S == tuple(j for j, x in enumerate(a) if m % x == 0), (a, S)
+            level = -sum(coefficient for l, coefficient in zip(lcms, coefficients) if m % l == 0)
+            assert level == kappa_oracle(a, S), (a, S)
+            if len(S) >= 2:
+                assert level == kappa(ev, S), (a, S)
+            read.append(len(S))
+    assert len(read) >= 40 and min(read) <= 1, read
 
 
 def test_reciprocal_sum_equals_the_unit_fraction_sum():

@@ -28,6 +28,7 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -100,6 +101,9 @@ def _field_names(kind: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(kind) if f.name not in left_out)
 
 
+_INT = {int}  # the item types of an array of exact ints
+
+
 def json_value(obj):
     """JSON value of a report object, by its exact type.
 
@@ -111,6 +115,8 @@ def json_value(obj):
     if kind is int or kind is bool or kind is str:
         return obj
     if kind is tuple or kind is list:
+        if {*map(type, obj)} == _INT:  # torsion orders, supports: copied whole
+            return list(obj)
         return [json_value(item) for item in obj]
     if kind is dict:
         return _Table(None, sorted(obj.items()))
@@ -161,8 +167,9 @@ def _dumps(value, pad: str = "\n") -> str:
     A `_Table` is written as its list of arrays or {key: cell} objects,
     each row through one `%`-template cached per table shape (keys, width,
     indent); its cells are ints by construction (`%d` would write a bool as
-    1, where JSON needs true).  Every other value is written item by item,
-    strings through the C escaper.
+    1, where JSON needs true).  A list or tuple of exact ints is written in
+    one join.  Every other value is written item by item, strings through
+    the C escaper.
     The standard library's indented encoder is pure Python and takes
     twice as long on large envelopes.
     """
@@ -190,7 +197,10 @@ def _dumps(value, pad: str = "\n") -> str:
         if not value:
             return "[]"
         inner = pad + "  "
-        items = [_dumps(item, inner) for item in value]
+        if {*map(type, value)} == _INT:  # a bool is no int here: it keeps the item path
+            items = map(str, value)
+        else:
+            items = [_dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(value)  # true, false, null
 
@@ -472,12 +482,13 @@ def _cmd_exotic(args):
     sphere = GeneratorCounts.of_ranks(report.ranks, n)
     final = iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
     # The r-fold self-sum holds r copies of the sphere's counts and r - 1
-    # tubes, so row r is linear in r and costs no fold.
-    low, tube = 2 * n - 4, 2 * n - 3
-    rows = [
-        (r, r * sphere[low] + (r - 1) * beta(n, low), r * sphere[tube] + (r - 1) * beta(n, tube))
-        for r in range(1, args.copies + 1)
-    ]
+    # tubes, so each column steps by one sphere and one tube per row.
+    low, tube = (sphere[d] for d in (2 * n - 4, 2 * n - 3))
+    rows = list(zip(
+        range(1, args.copies + 1),
+        count(low, low + beta(n, 2 * n - 4)),
+        count(tube, tube + beta(n, 2 * n - 3)),
+    ))
     payload = {
         "verdict": json_value(verdict),
         "iterated_counts": _Table(_ITERATED_KEYS, rows),
@@ -487,8 +498,9 @@ def _cmd_exotic(args):
     return payload, diagnostics, EXIT_OK
 
 
-@cache  # parsing leaves the parser as it was, so one serves every call
-def _build_parser() -> _Parser:
+@cache  # parsing leaves the parsers as they were, so one set serves every call
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The full parser, and each subcommand's own parser by name."""
     parser = _Parser(prog="brieskorn-ch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = (
@@ -519,13 +531,22 @@ def _build_parser() -> _Parser:
             "--format", choices=("json", "text"), default="json", help="output format"
         )
         p[name].set_defaults(func=func)
-    return parser
+    return parser, p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A leading subcommand name hands the rest straight to its parser,
+        # which the full parser would reach with the same arguments; no
+        # argument, -h, an unknown name or a leading option take the full one.
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         payload, diagnostics, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,7 +165,9 @@ def special_sphere_check(primes: tuple[int, ...], report: CHReport) -> SpecialSp
     on a window covering degrees 2n-4 and 2n-3.  The no-lower-generators
     clause is checked by a fresh global scan, not limited to the window.
     """
-    a = report.exponents  # the scans below reuse the orbit-type plans in its `a.derived`
+    # The scan below degree 2n-4 reads the types and plans kept in `a.derived`;
+    # it reaches only the types of least period, which the report built.
+    a = report.exponents
     if a != sphere_exponents(tuple(primes)):
         raise ValueError("report does not belong to the given primes")
     n = a.n

@@ -6,7 +6,12 @@ The resulting graded vector space is eventually periodic: stepping N by
 L/m (L the lcm of all exponents) shifts every degree by the same integer
 2L(sum 1/a_j - 1), which also fixes the sign of the degree growth.  A scan
 visits only the N whose band of degrees meets the window, so its cost
-follows the window's width, not its position.  Each visited N costs one
+follows the window's width, not its position.  The types are walked by
+ascending m, whose degree slope grows with m: the walk stops at the first
+type whose N = 1 already lies past the window's far edge, and a type's
+plan (its orbit-space Betti numbers, from its kappa) is built only when
+the walk visits one of its N, so a window near degree 0 pays for the few
+types of least period, not for every type.  Each visited N costs one
 integer pass over the exponents outside the type's support: a zero
 remainder rejects N, and the quotients are the floors the index sums.
 
@@ -23,9 +28,9 @@ from typing import NamedTuple
 
 from .maslov import IndexCharacter, classify_index, maslov_orbit_space
 from .maslov import _index_formula  # unused, kept for perfbench's tracer
-from .orbits import OrbitType, enumerate_orbit_types
-from .orbits import valid_multiplier  # unused, kept for perfbench's tracer
-from .randell import ExponentVector, closed_kappas, orbit_space_betti
+from .orbits import OrbitType
+from .orbits import enumerate_orbit_types, valid_multiplier  # unused, kept for perfbench's tracer
+from .randell import ExponentVector, closed_kappa, orbit_space_betti, type_times
 from .randell import orbit_space_rational_homology  # unused, kept for perfbench's tracer
 
 
@@ -111,55 +116,53 @@ def period_shift(a: ExponentVector) -> int:
 
 
 class _Plan(NamedTuple):
-    """What the scan reads of one orbit type, built once per report.
+    """What the scan reads of one orbit type, built when a scan first reaches it.
 
     The degree of H_j of the N-fold cover is coef*N + 2*sum(N*m // a_i) +
     const + j, the sum over the exponents outside J: inside J, N*m/a_j is
     exact and folds into coef.
     """
 
-    m: int
-    period: int  # L/m: the step in N that shifts every degree by period_shift
     outside: tuple[int, ...]
     coef: int
     const: int
     homology: tuple[tuple[int, int], ...]  # nonzero (j, rank) of the orbit space
 
 
-def _plans(a: ExponentVector) -> tuple[IndexCharacter, tuple[_Plan, ...]]:
-    """Index character and one plan per orbit type, ascending by m: every scan's preamble.
+class _Types(NamedTuple):
+    """The orbit types of one vector, as every scan reads them."""
 
-    The plans are built on the vector's first scan and kept in `a.derived`,
-    so a report and the scans that audit it enumerate the types once.
+    times: list[int]  # return times m, ascending, so the period L/m descends
+    plans: dict[int, _Plan]  # by m, each built on the first scan that reaches its type
+
+
+def _types(a: ExponentVector) -> tuple[IndexCharacter, _Types]:
+    """Index character and the orbit types: every scan's preamble.
+
+    The types are kept in `a.derived`, so a report and the scans that
+    audit it read the one product and build each plan once.
     """
     character = classify_index(a)
     if character.is_degenerate:
         raise DegenerateContactFormError(
             "degree-0 orbits unavoidable: sum of reciprocal exponents equals 1"
         )
-    plans = a.derived.get("contact plans")
-    if plans is None:
-        plans = a.derived["contact plans"] = _build_plans(a)
-    return character, plans
+    types = a.derived.get("contact types")
+    if types is None:
+        types = a.derived["contact types"] = _Types(type_times(a), {})
+    return character, types
 
 
-def _build_plans(a: ExponentVector) -> tuple[_Plan, ...]:
-    # The types and their kappas both read the one divisor-ring product.
-    n, L = a.n, a.lcm()
-    kappas = closed_kappas(a)
-    plans = []
-    for t in enumerate_orbit_types(a):
-        outside = tuple(x for x in a.a if t.m % x)  # the exponents not in J
-        ranks = orbit_space_betti(len(t.J), kappas[t.m])
-        plans.append(_Plan(
-            m=t.m,
-            period=L // t.m,
-            outside=outside,
-            coef=2 * sum(t.m // a.a[j] for j in t.J) - 2 * t.m,
-            const=len(outside) + (n - 3) - (len(t.J) - 2),
-            homology=tuple((j, count) for j, count in enumerate(ranks) if count),
-        ))
-    return tuple(plans)
+def _plan(a: ExponentVector, m: int) -> _Plan:
+    inside = [x for x in a.a if not m % x]  # the exponents in J
+    outside = tuple([x for x in a.a if m % x])
+    ranks = orbit_space_betti(len(inside), closed_kappa(a, m))
+    return _Plan(
+        outside=outside,
+        coef=2 * sum([m // x for x in inside]) - 2 * m,
+        const=len(outside) + (a.n - 3) - (len(inside) - 2),
+        homology=tuple([(j, count) for j, count in enumerate(ranks) if count]),
+    )
 
 
 def _multipliers(period: int, shift: int, lo: int, hi: int) -> range:
@@ -170,7 +173,7 @@ def _multipliers(period: int, shift: int, lo: int, hi: int) -> range:
 
 
 def _scan(
-    plans: tuple[_Plan, ...], shift: int, n: int, lo: int, hi: int
+    a: ExponentVector, types: _Types, shift: int, lo: int, hi: int
 ) -> tuple[dict[int, int], list[tuple[int, int, int, int, int]]]:
     """Ranks of the contributions with degree in [lo, hi], and their rows.
 
@@ -178,12 +181,26 @@ def _scan(
     [slope*N - 2, slope*N + 2(n-2)], slope = shift/period (floor(x) > x - 1
     on one side, floor(x) <= x on the other, equality reachable on the
     principal type), and only the N whose band meets the window are
+    visited.  |slope| = |shift|*m/L grows with m, so once N = 1 of a type
+    lies past the window's far edge, so does every later type, and the
+    walk stops there; a type's plan is built only when some N of it is
     visited.  Rows are (m, N, j, degree, count), ascending by (m, N, j).
     """
+    n, L = a.n, a.lcm()
+    times, plans = types
     ranks: dict[int, int] = {}
     rows = []
-    for m, period, outside, coef, const, homology in plans:
-        for N in _multipliers(period, shift, lo - 2 * (n - 2), hi + 2):
+    for m in times:
+        multipliers = _multipliers(L // m, shift, lo - 2 * (n - 2), hi + 2)
+        if multipliers.stop <= 1:
+            break
+        if not multipliers:
+            continue
+        plan = plans.get(m)
+        if plan is None:
+            plan = plans[m] = _plan(a, m)
+        outside, coef, const, homology = plan
+        for N in multipliers:
             total = N * m
             floors = 0
             for aj in outside:
@@ -212,14 +229,14 @@ def ranks_up_to(a: ExponentVector, hi: int) -> GradedRanks:
     Positivity bounds all degrees from below, so the scan is finite; the
     returned window starts at that proven floor.
     """
-    character, plans = _plans(a)
+    character, types = _types(a)
     if not character.is_positive:
         raise ValueError("unbounded scan: degrees are not bounded below")
     shift = period_shift(a)
     # The least degree is above slope*N - 2 >= slope - 2, and slope =
     # shift/period grows with m: the type of least m sets the floor.
-    lo = min(hi, shift // plans[0].period - 2)
-    ranks, _ = _scan(plans, shift, a.n, lo, hi)
+    lo = min(hi, shift // (a.lcm() // types.times[0]) - 2)
+    ranks, _ = _scan(a, types, shift, lo, hi)
     return GradedRanks(ranks=ranks, window=(lo, hi))
 
 
@@ -233,16 +250,16 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
     lo, hi = window
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
-    character, plans = _plans(a)
-    shift = period_shift(a)
-    ranks, rows = _scan(plans, shift, a.n, lo, hi)
+    character, types = _types(a)
+    shift, L = period_shift(a), a.lcm()
+    ranks, rows = _scan(a, types, shift, lo, hi)
     return CHReport(
         exponents=a,
         character=character,
         ranks=GradedRanks(ranks=ranks, window=(lo, hi)),
         period_shift=shift,
-        period_multipliers={p.m: p.period for p in plans},
-        well_defined=not _scan(plans, shift, a.n, -1, 1)[0],
+        period_multipliers={m: L // m for m in types.times},  # a period needs no plan
+        well_defined=not _scan(a, types, shift, -1, 1)[0],
         rows=tuple(rows),
     )
 

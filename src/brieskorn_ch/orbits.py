@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import lcm_set, subsets  # unused, kept for perfbench's tracer
-from .randell import ExponentVector, divisor_product
+from .randell import ExponentVector, type_times
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,16 @@ class OrbitType:
 def enumerate_orbit_types(a: ExponentVector) -> list[OrbitType]:
     """All orbit types, ascending by return time.
 
-    The return times are the lcms of the index subsets of size >= 2.  Every
-    subset lcm m, read as a key of the divisor-ring product, is walked once,
-    with its divisor set J = {j : a_j | m}; m is a type's time when
-    |J| >= 2, and then lcm(a_J) = m, so each type carries the largest subset
-    generating its time.
+    The return times are the lcms of the index subsets of size >= 2: the
+    keys m of the divisor-ring product, which are the subset lcms, whose
+    divisor set J = {j : a_j | m} has |J| >= 2 (`type_times`).  Then
+    lcm(a_J) = m, so each type carries the largest subset generating its
+    time.
     """
-    types = []
-    for m in divisor_product(a)[0]:
-        J = tuple([j for j, aj in enumerate(a.a) if not m % aj])
-        if len(J) >= 2:
-            types.append(OrbitType(m=m, J=J))
-    return types
+    return [
+        OrbitType(m=m, J=tuple([j for j, aj in enumerate(a.a) if not m % aj]))
+        for m in type_times(a)
+    ]
 
 
 def valid_multiplier(a: ExponentVector, t: OrbitType, N: int) -> bool:

@@ -34,6 +34,7 @@ values of t, and that max is v_p of the lcm.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,8 +93,8 @@ class ExponentVector:
     @cached_property
     def derived(self) -> dict:
         """Tables later stages build from this vector alone (the divisor-ring
-        product and the contact scan's orbit-type plans), kept for as long as
-        the vector.
+        product, its closed masks, and the contact scan's orbit types with
+        the plans built so far), kept for as long as the vector.
         """
         return {}
 
@@ -169,48 +170,73 @@ def divisor_product(a: ExponentVector) -> tuple[tuple[int, ...], tuple[int, ...]
     """The product of (Lambda_{a_j} - 1) over every exponent: its lcms
     ascending, which are the subset lcms, and their coefficients.
 
-    Built on first read and kept in `a.derived`.
+    Built on first read and kept in `a.derived`.  Its coefficient sum, the
+    kappa of the full support, is checked on the build, so a corrupted
+    product is refused even where no later read sums it whole.
     """
     product = a.derived.get("divisor product")
     if product is None:
         terms = _ring_product(a.a)
+        _checked(a, range(len(a)), sum(terms.values()))
         lcms = tuple(sorted(terms))
         product = a.derived["divisor product"] = (lcms, tuple(map(terms.__getitem__, lcms)))
     return product
 
 
-def closed_kappas(a: ExponentVector) -> dict[int, int]:
-    """Kappa of J_m = {j : a_j | m} for every subset lcm m with |J_m| >= 2.
+def type_times(a: ExponentVector) -> list[int]:
+    """The subset lcms m with |J_m| >= 2, J_m = {j : a_j | m}, ascending:
+    the orbit types' return times.
+
+    Every key of `divisor_product` but 1 is the lcm of a nonempty subset
+    inside J_m, and J_m = {j} only when m = a_j and no other exponent
+    divides a_j, so no key needs its J_m spelled out.
+    """
+    alone = {x for x in a.a if [x % y for y in a.a].count(0) == 1}
+    return [m for m in divisor_product(a)[0] if m != 1 and m not in alone]
+
+
+def _closed_masks(a: ExponentVector) -> dict[int, int]:
+    """{closed set {j : a_j | l} as a bit mask: coefficient} over the lcms l
+    of `divisor_product`, built on first read and kept in `a.derived`."""
+    by_mask = a.derived.get("closed masks")
+    if by_mask is None:
+        lcms, coefficients = divisor_product(a)
+        bits = [1 << j for j in range(len(a))]
+        masks = [sum(compress(bits, map(not_, map(l.__mod__, a.a)))) for l in lcms]
+        by_mask = a.derived["closed masks"] = dict(zip(masks, coefficients))
+    return by_mask
+
+
+def closed_kappa(a: ExponentVector, m: int) -> int:
+    """Kappa of J_m = {j : a_j | m} for a subset lcm m with |J_m| >= 2.
 
     The subsets inside J_m are those whose lcm divides m, so the product
     over J_m is the full product (`divisor_product`) on the lcms dividing
     m, times (-1)^(k - |J_m|).  An lcm l divides m exactly when its closed
-    set {j : a_j | l}, kept as a bit mask, lies inside J_m.  Each sum walks
+    set {j : a_j | l}, kept as a bit mask, lies inside J_m.  The sum walks
     the shorter of two lists: the lcms up to m, tested for dividing m, or
     the 2^|J_m| sub-masks of J_m, looked up among the closed sets.
     """
     lcms, coefficients = divisor_product(a)
-    k = len(a)
-    bits = [1 << j for j in range(k)]
-    masks = [sum(compress(bits, map(not_, map(m.__mod__, a.a)))) for m in lcms]
-    by_mask = dict(zip(masks, coefficients))
-    kappas = {}
-    for below, (m, J) in enumerate(zip(lcms, masks), 1):
-        size = J.bit_count()
-        if size < 2:
-            continue
-        if 1 << size < below:
-            total, sub = by_mask[0], J
-            while sub:
-                total += by_mask.get(sub, 0)
-                sub = (sub - 1) & J
-        else:
-            total = sum(compress(coefficients[:below], map(not_, map(m.__mod__, lcms[:below]))))
-        value = total if (k - size) % 2 == 0 else -total
-        if value < 0:  # the support is spelled out only for the refusal
-            _checked(a, [j for j in range(k) if J >> j & 1], value)
-        kappas[m] = value
-    return kappas
+    J = [j for j, x in enumerate(a.a) if not m % x]
+    below = bisect_right(lcms, m)
+    if 1 << len(J) < below:
+        by_mask, mask = _closed_masks(a), sum([1 << j for j in J])
+        total, sub = by_mask[0], mask
+        while sub:
+            total += by_mask.get(sub, 0)
+            sub = (sub - 1) & mask
+    else:
+        total = sum(compress(coefficients[:below], map(not_, map(m.__mod__, lcms[:below]))))
+    value = -total if (len(a.a) - len(J)) % 2 else total
+    if value < 0:
+        _checked(a, J, value)
+    return value
+
+
+def closed_kappas(a: ExponentVector) -> dict[int, int]:
+    """`closed_kappa` of every orbit type's time m, {m: kappa(J_m)}."""
+    return {m: closed_kappa(a, m) for m in type_times(a)}
 
 
 def kappa(a: ExponentVector, support: Iterable[int]) -> int:

@@ -584,22 +584,40 @@ def test_crosscheck_reports_the_first_faulty_row(capsys, monkeypatch):
     )
 
 
-def test_exotic_builds_each_orbit_space_once(capsys, monkeypatch):
-    # the report and the sphere check's scan below degree 2n-4 share one
-    # plan per orbit type, kept on the exponent vector
+def counting_plans(monkeypatch):
+    """The return times m of the orbit-type plans `contact` builds, in build order."""
     from brieskorn_ch import contact
 
     built = []
-    original = contact._build_plans
+    original = contact._plan
 
-    def counting(a):
-        built.append(original(a))
-        return built[-1]
+    def counting(a, m):
+        built.append(m)
+        return original(a, m)
 
-    monkeypatch.setattr(contact, "_build_plans", counting)
+    monkeypatch.setattr(contact, "_plan", counting)
+    return built
+
+
+def test_exotic_builds_each_orbit_space_once(capsys, monkeypatch):
+    # the report, its gate and the sphere check's scan below degree 2n-4
+    # share the plans kept on the exponent vector; of the types 2, 6, 10,
+    # 15 and 30 of (3, 5, 2, 2) only m = 2 reaches degrees up to 2n-2 = 4
+    built = counting_plans(monkeypatch)
     code, _, _ = run(capsys, "exotic", "--primes", "3", "5")
     assert code == 0
-    assert [[p.m for p in plans] for plans in built] == [[2, 6, 10, 15, 30]]
+    assert built == [2]
+
+
+def test_exotic_on_twelve_primes_builds_at_most_three_plans(capsys, monkeypatch):
+    # 4,095 orbit types; the scans stop at the first type whose N = 1 lies
+    # past the window, so only the types of least period get a plan
+    built = counting_plans(monkeypatch)
+    primes = ["3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37", "41"]
+    code, out, _ = run(capsys, "exotic", "--primes", *primes)
+    assert code == 0
+    assert json.loads(out)["payload"]["verdict"]["passed"] is True
+    assert len(built) <= 3 and len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("extra", [[], ["--provenance"]])
@@ -633,6 +651,73 @@ def test_one_parser_serves_repeated_calls(capsys):
     assert repeated == fresh
     assert repeated[0][0] == 1 and repeated[0][1] == ""
     assert repeated[0] == repeated[2]
+
+
+# usage errors, abbreviated options, -h and refusals behind a subcommand name
+SUBCOMMAND_CASES = [
+    ["ch"],
+    ["ch", "2", "2", "x", "2"],
+    ["ch", "6", "2", "2", "2", "--win", "0:12", "--prov"],
+    ["ch", "6", "2", "2", "2", "--window", "5:3"],
+    ["ch", "6", "2", "2", "2", "--window", "-30:0"],
+    ["ch", "--window=-30:0", "7", "7", "7", "7", "--f", "text"],
+    ["ch", "6", "2", "2", "2", "--bogus"],
+    ["ch", "4", "4", "4", "4"],
+    ["ch", "-h"],
+    ["homology", "2", "2"],
+    ["homology", "4", "2", "2", "2", "--format", "xml"],
+    ["orbits", "6", "2", "2", "2", "--format", "text"],
+    ["exotic", "--primes", "4", "5"],
+    ["exotic", "--pr", "3", "5", "--cop", "0"],
+    ["exotic", "--primes", "3", "3"],
+    ["exotic", "--help"],
+    ["sum"],
+    ["sum", "no-such-file.json", "--cut", "3"],
+]
+# no subcommand name first: the full parser reads these on either route
+FULL_PARSER_CASES = [
+    [], ["-h"], ["cho", "2", "2", "2", "2"], ["--format", "json", "ch", "6", "2", "2", "2"],
+]
+
+
+def replay(capsys, argv):
+    """(exit code, stdout, stderr) of `main`, also where argparse exits (-h)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_leading_subcommand_skips_the_full_parser_with_the_same_bytes(capsys, monkeypatch):
+    # the one-hop route hands argv[1:] to the subcommand's parser; without
+    # the subcommand table every argv takes the full parser, as it always did
+    parser, _ = cli._build_parser()
+    cases = SUBCOMMAND_CASES + FULL_PARSER_CASES
+
+    def refuse(argv):
+        raise AssertionError(f"the full parser read {argv}")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    one_hop = [replay(capsys, argv) for argv in SUBCOMMAND_CASES]
+    monkeypatch.undo()
+    one_hop += [replay(capsys, argv) for argv in FULL_PARSER_CASES]
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert [replay(capsys, argv) for argv in cases] == one_hop
+    codes = [code for code, _, _ in one_hop]
+    assert codes.count(1) >= 12 and set(codes) == {0, 1, 2, 4}
+    helps = [out for argv, (_, out, _) in zip(cases, one_hop) if {"-h", "--help"} & set(argv)]
+    assert [out.partition(" [")[0] for out in helps] == [
+        "usage: brieskorn-ch ch", "usage: brieskorn-ch exotic", "usage: brieskorn-ch"
+    ]
+
+
+def test_main_reads_the_process_arguments_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["brieskorn-ch", "homology", "4", "2", "2", "2"])
+    code, out, _ = replay(capsys, None)
+    assert code == 0
+    assert json.loads(out)["payload"]["middle_rank"] == 1
 
 
 def writer_cases(rng, sum_files):

@@ -287,3 +287,34 @@ def test_ranks_up_to_matches_the_walk():
         assert dict(low.items()) == totals, (a, hi)
         assert low.window[0] <= min(totals, default=hi)
         checked += 1
+
+
+def test_many_exponent_windows_near_zero_match_the_walk(monkeypatch):
+    # k = 7-10 and windows near degree 0: N = 1 of most orbit types already
+    # lies past the window's far edge, so the scan stops early and builds
+    # few plans, and the walk over every type must still find nothing more
+    built = []
+    original = contact._plan
+    monkeypatch.setattr(contact, "_plan", lambda a, m: built.append(m) or original(a, m))
+    rng = random.Random(20261021)
+    signs = set()
+    types = plans = checked = 0
+    while checked < 24:
+        a = ExponentVector(tuple(rng.randint(2, 24) for _ in range(rng.randint(7, 10))))
+        sign = classify_index(a).sign
+        if sign == "degenerate":
+            continue
+        offset = rng.randint(-2 * a.n, 2 * a.n)
+        window = (offset - rng.randint(0, 6), offset + rng.randint(0, 6))
+        if walk_length(a, max(map(abs, window)) + 2 * a.n) > 4_000:
+            continue
+        built.clear()
+        report = ch_report(a, window)
+        assert report.contributions == tuple(brute_contributions(a, *window)), (a, window)
+        assert len(set(built)) == len(built)
+        types += len(report.period_multipliers)
+        plans += len(built)
+        signs.add(sign)
+        checked += 1
+    assert signs == {"positive", "negative"}
+    assert plans < types / 2

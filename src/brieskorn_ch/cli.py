@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -312,27 +313,33 @@ def _default_window(a: ExponentVector) -> tuple[int, int]:
 def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
     # The index depends on (m, N) only, so each pair is checked once by
     # both routes; every row's degree must then sit at that index plus the
-    # type's constant shift (n - 3) - (|J| - 2).  Rows are read in order,
-    # so the first faulty row is the one reported.
-    types = {t.m: t for t in enumerate_orbit_types(a)}
-    shifts = {m: (a.n - 3) - (len(t.J) - 2) for m, t in types.items()}
+    # type's constant shift (n - 3) - (|J| - 2).  Only the types the rows
+    # name are built: m is a type's time when J = {i : a_i | m} has two or
+    # more indices and lcm(a_J) = m.  Rows are read in order, so the first
+    # faulty row is the one reported.
+    types: dict[int, OrbitType] = {}
     indices: dict[tuple[int, int], int] = {}
     for m, N, j, degree, _ in report.rows:
+        t = types.get(m)
+        if t is None:
+            t = types[m] = OrbitType(m=m, J=tuple([i for i, x in enumerate(a) if not m % x]))
         index = indices.get((m, N))
         if index is None:
             try:  # `maslov_orbit_space` refuses an N whose iterate leaves the type
-                index = maslov_orbit_space(a, types[m], N)
-            except (KeyError, ValueError) as exc:
+                if len(t.J) < 2 or math.lcm(*(a[i] for i in t.J)) != m:
+                    raise ValueError("no orbit type has this return time")
+                index = maslov_orbit_space(a, t, N)
+            except ValueError as exc:
                 raise HomologyInvariantError(
                     f"row at m={m}, N={N} is not an iterate of an orbit type"
                 ) from exc
-            indirect = maslov_crosscheck(a, types[m], N)
+            indirect = maslov_crosscheck(a, t, N)
             if index != indirect:
                 raise HomologyInvariantError(
                     f"index mismatch for m={m}, N={N}: {index} != {indirect}"
                 )
             indices[m, N] = index
-        scanned = degree - j - shifts[m]
+        scanned = degree - j - (a.n - 3) + (len(t.J) - 2)
         if scanned != index:
             raise HomologyInvariantError(
                 f"degree {degree} at m={m}, N={N}, j={j} puts the index at {scanned},"

@@ -9,13 +9,15 @@ Lambda_x Lambda_y = gcd(x, y) Lambda_{lcm(x, y)} (Milnor and Orlik); the
 product has one term per distinct lcm of a subset, not one per subset.
 Multiplied over every exponent, that product keeps one key per subset
 lcm (a zero coefficient keeps its key).  The orbit types read those keys,
-and every kappa a command reads is a divisor sum over them, on the
-orbit types and the torsion's supports (see `torsion`) alike: the subsets
-inside J_m = {j : a_j | m} are exactly those whose lcm divides m, so
+and every kappa a command reads is one divisor sum over them
+(`closed_kappa`): an orbit type's, a torsion level (see `torsion`) and the
+middle rank alike.  The subsets inside J_m = {j : a_j | m} are exactly
+those whose lcm divides m, so
 
     kappa(J_m) = (-1)^(k - |J_m|) * sum of the coefficients on the lcms dividing m,
 
-the middle rank being the whole sum; `kappa` alone multiplies per support.
+the middle rank being the sum at m = lcm(a); `kappa` alone multiplies per
+support.
 
 The torsion reads the set of subset gcds, built as a closure.  Its factor
 C(S) is the multiplicative Möbius transform of the complement gcds, which
@@ -39,14 +41,14 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-from operator import not_
+from itertools import compress, repeat
+from operator import mod, not_
 
 from .exact import gcd_set, lcm_set, subsets  # unused, kept for perfbench's tracer
 
-# Pairwise coprime exponents have 2^k distinct subset lcms, and kappa and
-# the orbit types walk every one of them; the types' kappas then read
-# 3^k (subset, sub-subset) pairs.
+# Pairwise coprime exponents have 2^k distinct subset lcms, and the
+# divisor-ring product, the orbit types and each kappa's divisor sum walk
+# every one of them.
 MAX_EXPONENTS = 16
 # The torsion is written one cyclic factor at a time; a longer one is refused.
 MAX_TORSION_FACTORS = 10**6
@@ -93,8 +95,8 @@ class ExponentVector:
     @cached_property
     def derived(self) -> dict:
         """Tables later stages build from this vector alone (the divisor-ring
-        product, its closed masks, and the contact scan's orbit types with
-        the plans built so far), kept for as long as the vector.
+        product and the contact scan's orbit types with the plans built so
+        far), kept for as long as the vector.
         """
         return {}
 
@@ -195,48 +197,20 @@ def type_times(a: ExponentVector) -> list[int]:
     return [m for m in divisor_product(a)[0] if m != 1 and m not in alone]
 
 
-def _closed_masks(a: ExponentVector) -> dict[int, int]:
-    """{closed set {j : a_j | l} as a bit mask: coefficient} over the lcms l
-    of `divisor_product`, built on first read and kept in `a.derived`."""
-    by_mask = a.derived.get("closed masks")
-    if by_mask is None:
-        lcms, coefficients = divisor_product(a)
-        bits = [1 << j for j in range(len(a))]
-        masks = [sum(compress(bits, map(not_, map(l.__mod__, a.a)))) for l in lcms]
-        by_mask = a.derived["closed masks"] = dict(zip(masks, coefficients))
-    return by_mask
-
-
 def closed_kappa(a: ExponentVector, m: int) -> int:
-    """Kappa of J_m = {j : a_j | m} for a subset lcm m with |J_m| >= 2.
+    """Kappa of J_m = {j : a_j | m} for any m >= 1, J_m empty or a single
+    index included: the orbit type of time m, a torsion level, or the
+    middle rank at m = lcm(a).
 
     The subsets inside J_m are those whose lcm divides m, so the product
     over J_m is the full product (`divisor_product`) on the lcms dividing
-    m, times (-1)^(k - |J_m|).  An lcm l divides m exactly when its closed
-    set {j : a_j | l}, kept as a bit mask, lies inside J_m.  The sum walks
-    the shorter of two lists: the lcms up to m, tested for dividing m, or
-    the 2^|J_m| sub-masks of J_m, looked up among the closed sets.
+    m, times (-1)^(k - |J_m|): one scan of the lcms up to m.
     """
     lcms, coefficients = divisor_product(a)
-    J = [j for j, x in enumerate(a.a) if not m % x]
     below = bisect_right(lcms, m)
-    if 1 << len(J) < below:
-        by_mask, mask = _closed_masks(a), sum([1 << j for j in J])
-        total, sub = by_mask[0], mask
-        while sub:
-            total += by_mask.get(sub, 0)
-            sub = (sub - 1) & mask
-    else:
-        total = sum(compress(coefficients[:below], map(not_, map(m.__mod__, lcms[:below]))))
-    value = -total if (len(a.a) - len(J)) % 2 else total
-    if value < 0:
-        _checked(a, J, value)
-    return value
-
-
-def closed_kappas(a: ExponentVector) -> dict[int, int]:
-    """`closed_kappa` of every orbit type's time m, {m: kappa(J_m)}."""
-    return {m: closed_kappa(a, m) for m in type_times(a)}
+    total = sum(compress(coefficients, map(not_, map(mod, repeat(m, below), lcms))))
+    J = [j for j, x in enumerate(a.a) if not m % x]
+    return _checked(a, J, -total if (len(a.a) - len(J)) % 2 else total)
 
 
 def kappa(a: ExponentVector, support: Iterable[int]) -> int:
@@ -263,20 +237,18 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     the subsets, are read: C(S) = g / lcm_{j in S} gcd(g, a_j) = g / gcd(g, m),
     m = lcm(a_S), and kappa(S) only where C(S) > 1, so every run's order
     exceeds the next one's.  An a_i in K dividing m would make C(S) = 1, so
-    there S = J_m and kappa(S) is minus (|K| is odd) the product's coefficient
-    sum on the lcms dividing m.
+    there S = J_m and kappa(S) is `closed_kappa` at m.
 
     A torsion of more than MAX_TORSION_FACTORS cyclic factors is refused
     with its runs named before any tuple is built.
     """
-    lcms, coefficients = divisor_product(a)
     factor: dict[int, int] = {}  # kappa value -> product of the C > 1 it carries
     for g in _closure(a, math.gcd, 0) - {0, 1}:
         S = [j for j, x in enumerate(a) if x % g]
         m = math.lcm(*(a[j] for j in S))
         c = g // math.gcd(g, m)
         if (len(a) - len(S)) % 2 == 1 and c > 1:  # S is J_m, and |K| is odd
-            level = _checked(a, S, -sum(compress(coefficients, map(not_, map(m.__mod__, lcms)))))
+            level = closed_kappa(a, m)
             if level > 0:
                 factor[level] = factor.get(level, 1) * c
 
@@ -308,7 +280,7 @@ def full_homology(a: ExponentVector) -> HomologyReport:
     connected sum of copies of S^2 x S^3.
     """
     n = a.n
-    middle = _checked(a, range(len(a)), sum(divisor_product(a)[1]))
+    middle = closed_kappa(a, a.lcm())
     tors = torsion(a)
 
     graded: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}

@@ -553,11 +553,15 @@ def test_crosscheck_checks_each_index_once(capsys, monkeypatch):
     assert "crosscheck: 10 contributions verified by both routes\n" in err
 
 
-@pytest.mark.parametrize("row", [
-    (2, 1, 0, 4, 1),  # H_0 of the N = 1 cover of m = 2 sits in degree 2, not 4
-    (2, 3, 0, 8, 1),  # 6 divides 3 * 2: the iterate leaves the type
-], ids=["degree-off-by-two", "invalid-multiplier"])
-def test_crosscheck_checks_the_rows_the_scan_wrote(capsys, monkeypatch, row):
+@pytest.mark.parametrize("row, fault", [
+    # H_0 of the N = 1 cover of m = 2 sits in degree 2, not 4
+    ((2, 1, 0, 4, 1), "puts the index at 5"),
+    # 6 divides 3 * 2: the iterate leaves the type
+    ((2, 3, 0, 8, 1), "is not an iterate of an orbit type"),
+    # 4 is no type's time: J_4 = {1, 2, 3} has lcm 2
+    ((4, 1, 0, 4, 1), "is not an iterate of an orbit type"),
+], ids=["degree-off-by-two", "invalid-multiplier", "not-a-type-time"])
+def test_crosscheck_checks_the_rows_the_scan_wrote(capsys, monkeypatch, row, fault):
     from dataclasses import replace
 
     real = cli.ch_report
@@ -567,7 +571,7 @@ def test_crosscheck_checks_the_rows_the_scan_wrote(capsys, monkeypatch, row):
     assert out == ""
     m, N = row[:2]
     assert err.startswith("error: internal invariant failed: ")
-    assert f"m={m}, N={N}" in err
+    assert f"m={m}, N={N}" in err and fault in err
 
 
 def test_crosscheck_reports_the_first_faulty_row(capsys, monkeypatch):
@@ -582,6 +586,28 @@ def test_crosscheck_reports_the_first_faulty_row(capsys, monkeypatch):
         "error: internal invariant failed: degree 4 at m=2, N=1, j=0 puts the index at 5,"
         " both routes give 3\n"
     )
+
+
+def test_crosscheck_builds_only_the_types_its_rows_name(capsys, monkeypatch):
+    # the first twelve primes have 4,083 orbit types; the window's 51 rows
+    # come from a few of them, and only those are built: the envelope is
+    # the plain run's but for the option and the crosscheck's diagnostic
+    argv = ["ch", "2", "3", "5", "7", "11", "13", "17", "19", "23", "29", "31", "37",
+            "--window", "0:100"]
+    code, plain, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+    def refuse(a):
+        raise AssertionError("every orbit type was built")
+
+    monkeypatch.setattr(cli, "enumerate_orbit_types", refuse)
+    code, out, err = run(capsys, *argv, "--crosscheck")
+    checked = "crosscheck: 51 contributions verified by both routes"
+    assert (code, err) == (0, checked + "\n")
+    expected = json.loads(plain)
+    expected["diagnostics"] = [checked]
+    expected["input"]["crosscheck"] = True
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def counting_plans(monkeypatch):

@@ -13,12 +13,13 @@ from brieskorn_ch.randell import (
     ExponentVector,
     HomologyInvariantError,
     HomologyReport,
-    closed_kappas,
+    closed_kappa,
     divisor_product,
     full_homology,
     kappa,
     orbit_space_rational_homology,
     torsion,
+    type_times,
 )
 from brieskorn_ch.cli import main
 from brieskorn_ch.orbits import enumerate_orbit_types
@@ -83,10 +84,15 @@ def test_orbit_types_and_their_kappas_come_from_one_product():
         types = {m: tuple(j for j, x in enumerate(a) if m % x == 0) for m in lcms}
         types = {m: J for m, J in types.items() if len(J) >= 2}
         assert [(t.m, t.J) for t in enumerate_orbit_types(ev)] == list(types.items()), a
-        kappas = closed_kappas(ev)
+        kappas = every_type_kappa(ev)
         assert list(kappas) == list(types), a
         for m, J in types.items():
             assert kappas[m] == kappa(ev, J) == kappa_oracle(a, J), (a, J)
+
+
+def every_type_kappa(ev):
+    """`closed_kappa` of every orbit type's time, {m: kappa(J_m)}."""
+    return {m: closed_kappa(ev, m) for m in type_times(ev)}
 
 
 def test_a_corrupted_product_coefficient_is_refused_as_a_negative_kappa():
@@ -99,7 +105,7 @@ def test_a_corrupted_product_coefficient_is_refused_as_a_negative_kappa():
         full = kappa(ev, range(len(a)))
         ev.derived["divisor product"] = (lcms, coefficients[:-1] + (coefficients[-1] - full - 1,))
         support = re.escape(str(tuple(range(len(a)))))
-        for read in (closed_kappas, full_homology):
+        for read in (every_type_kappa, full_homology):
             with pytest.raises(HomologyInvariantError,
                                match=f"negative kappa on the support {support} of"):
                 read(ev)
@@ -117,11 +123,13 @@ def test_every_support_torsion_reads_is_closed_and_read_off_the_product():
     # C(S) > 1 on an odd complement K forces S = J_m, m = lcm(a_S): an a_i in
     # K dividing m would make g = gcd(a_K) divide m, and C(S) = g / gcd(g, m)
     # = 1.  Its kappa is then minus the product's coefficient sum on the lcms
-    # dividing m.  C(S) comes from the prime-power oracle, not from `torsion`.
+    # dividing m, which `closed_kappa` reads at m, also where |S| <= 1 (m = 1
+    # on (2, 2, 2, 2, 2), or a single exponent).  C(S) comes from the prime-power oracle, not
+    # from `torsion`.  The middle rank is `closed_kappa` at m = lcm(a).
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     vectors = random_vectors(2029, 40, sizes=(4, 12))
     read = []
-    for a in vectors + [primes, (2,) * 16, (6, 10, 15, 30, 2, 3)]:
+    for a in vectors + [primes, (2,) * 16, (6, 10, 15, 30, 2, 3), (2, 2, 2, 2, 2)]:
         ev = ExponentVector(a)
         lcms, coefficients = divisor_product(ev)
         for S, c in c_prime_power_oracle(a).items():
@@ -130,11 +138,12 @@ def test_every_support_torsion_reads_is_closed_and_read_off_the_product():
             m = math.lcm(*(a[j] for j in S))
             assert S == tuple(j for j, x in enumerate(a) if m % x == 0), (a, S)
             level = -sum(coefficient for l, coefficient in zip(lcms, coefficients) if m % l == 0)
-            assert level == kappa_oracle(a, S), (a, S)
+            assert level == kappa_oracle(a, S) == closed_kappa(ev, m), (a, S)
             if len(S) >= 2:
                 assert level == kappa(ev, S), (a, S)
             read.append(len(S))
-    assert len(read) >= 40 and min(read) <= 1, read
+        assert closed_kappa(ev, ev.lcm()) == kappa_oracle(a, range(len(a))), a
+    assert len(read) >= 40 and {0, 1} <= set(read), read
 
 
 def test_reciprocal_sum_equals_the_unit_fraction_sum():
@@ -204,7 +213,7 @@ def test_negative_kappa_is_refused_wherever_it_is_read(monkeypatch):
     with pytest.raises(HomologyInvariantError, match="negative kappa"):
         full_homology(a)
     with pytest.raises(HomologyInvariantError, match=r"negative kappa on the support \(0, 1, 2, 3, 4\)"):
-        closed_kappas(a)
+        every_type_kappa(a)
     assert main(["ch", "2", "2", "2", "2", "2", "--window", "0:4"]) == 5
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .connected_sum import (
     GeneratorCounts,
@@ -43,9 +43,21 @@ from .connected_sum import (
     sphere_exponents,
 )
 from .contact import CHReport, DegenerateContactFormError, GradedRanks, ch_report, period_shift
-from .maslov import classify_index, maslov_crosscheck, maslov_orbit_space
+from .maslov import (
+    classify_index,
+    maslov_crosscheck,
+    maslov_crosscheck_batch,
+    maslov_orbit_space,
+    maslov_orbit_space_batch,
+)
 from .orbits import OrbitType, enumerate_orbit_types
-from .randell import ExponentVector, HomologyInvariantError, HomologyReport, full_homology
+from .randell import (
+    MAX_TORSION_FACTORS,
+    ExponentVector,
+    HomologyInvariantError,
+    HomologyReport,
+    full_homology,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -311,18 +323,49 @@ def _default_window(a: ExponentVector) -> tuple[int, int]:
 
 
 def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
-    # The index depends on (m, N) only, so each pair is checked once by
-    # both routes; every row's degree must then sit at that index plus the
-    # type's constant shift (n - 3) - (|J| - 2).  Only the types the rows
-    # name are built: m is a type's time when J = {i : a_i | m} has two or
-    # more indices and lcm(a_J) = m.  Rows are read in order, so the first
-    # faulty row is the one reported.
-    types: dict[int, OrbitType] = {}
+    # The index depends on (m, N) only, so each distinct pair is checked
+    # once, by both routes in one batch over the whole report; every row's
+    # degree must then sit at that index plus the type's constant shift
+    # (n - 3) - (|J| - 2).  Only the types the rows name are built, once
+    # each: m is a type's time when J = {i : a_i | m} has two or more
+    # indices and lcm(a_J) = m.  Any fault sends the rows through
+    # `_raise_first_fault`, which names the first faulty one.
+    rows = report.rows
+    if not rows:
+        return 0
+    ms, Ns, js, degrees, _ = zip(*rows)
+    types = {m: OrbitType(m=m, J=tuple([i for i, x in enumerate(a) if not m % x]))
+             for m in dict.fromkeys(ms)}
+    timed = all(len(t.J) >= 2 and math.lcm(*(a[i] for i in t.J)) == m for m, t in types.items())
+    offsets = {m: (a.n - 3) - (len(t.J) - 2) for m, t in types.items()}
+    pairs = list(dict.fromkeys(zip(ms, Ns)))
+    pair_ms, pair_Ns = zip(*pairs)
+    pair_types = list(map(types.__getitem__, pair_ms))
+    valid, closed = maslov_orbit_space_batch(a, pair_types, pair_Ns)
+    unitary = maslov_crosscheck_batch(a, pair_types, pair_Ns)
+    bases = dict(zip(pairs, map(add, closed, map(offsets.__getitem__, pair_ms))))
+    if not (timed and all(valid) and closed == unitary
+            and tuple(map(add, map(bases.__getitem__, zip(ms, Ns)), js)) == degrees):
+        _raise_first_fault(a, rows, types, dict(zip(pairs, zip(closed, unitary))))
+    return len(rows)
+
+
+def _raise_first_fault(
+    a: ExponentVector,
+    rows: tuple[tuple[int, int, int, int, int], ...],
+    types: dict[int, OrbitType],
+    batched: dict[tuple[int, int], tuple[int, int]],
+) -> None:
+    """Raise the error of the first faulty row, found by the scalar routes.
+
+    Rows are read in order, each pair's index computed once by
+    `maslov_orbit_space` and `maslov_crosscheck` and compared with the
+    batch's two values (`batched`), so the first fault of the rows or of
+    either route is the one named.
+    """
     indices: dict[tuple[int, int], int] = {}
-    for m, N, j, degree, _ in report.rows:
-        t = types.get(m)
-        if t is None:
-            t = types[m] = OrbitType(m=m, J=tuple([i for i, x in enumerate(a) if not m % x]))
+    for m, N, j, degree, _ in rows:
+        t = types[m]
         index = indices.get((m, N))
         if index is None:
             try:  # `maslov_orbit_space` refuses an N whose iterate leaves the type
@@ -333,11 +376,11 @@ def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
                 raise HomologyInvariantError(
                     f"row at m={m}, N={N} is not an iterate of an orbit type"
                 ) from exc
-            indirect = maslov_crosscheck(a, t, N)
-            if index != indirect:
-                raise HomologyInvariantError(
-                    f"index mismatch for m={m}, N={N}: {index} != {indirect}"
-                )
+            for indirect in (maslov_crosscheck(a, t, N), *batched[m, N]):
+                if index != indirect:
+                    raise HomologyInvariantError(
+                        f"index mismatch for m={m}, N={N}: {index} != {indirect}"
+                    )
             indices[m, N] = index
         scanned = degree - j - (a.n - 3) + (len(t.J) - 2)
         if scanned != index:
@@ -345,7 +388,7 @@ def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
                 f"degree {degree} at m={m}, N={N}, j={j} puts the index at {scanned},"
                 f" both routes give {index}"
             )
-    return len(report.rows)
+    raise HomologyInvariantError("the batched validity check rejects a row the scalar one accepts")
 
 
 def _cmd_ch(args):
@@ -472,6 +515,11 @@ def _cmd_sum(args):
 
 
 def _cmd_exotic(args):
+    if args.copies > MAX_TORSION_FACTORS:  # one row per copy: refused before any is built
+        raise ValueError(
+            f"--copies {args.copies} asks for more than {MAX_TORSION_FACTORS} rows:"
+            " too large to write"
+        )
     primes = tuple(args.primes)
     a = sphere_exponents(primes)
     n = a.n

@@ -6,13 +6,22 @@ otherwise.  Summing that over the coordinate rotations of the flow and
 subtracting the two-plane the ambient space adds gives the index of an
 orbit space.  Whether indices grow or shrink with the period is governed
 by the sign of sum(1/a_j) - 1.
+
+Each route also runs over many iterates at once: `maslov_orbit_space_batch`
+gives the validity and closed-formula index of every (type, N) it is
+handed, and `maslov_crosscheck_batch` the unitary-path index, each with one
+C-level `map` per exponent over all the iterates instead of one Python call
+per iterate.  The scalar routes stay the reference the batches are tested
+against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from operator import and_, attrgetter, floordiv, gt, mod, mul, neg, not_, sub
 
 from .orbits import OrbitType, valid_multiplier
 from .randell import ExponentVector
@@ -106,3 +115,41 @@ def maslov_crosscheck(a: ExponentVector, t: OrbitType, N: int) -> int:
         raise ValueError("multiplier must be a positive integer")
     total = N * t.m
     return sum(map(_unitary, repeat(total), a.a)) - _unitary(total, 1)
+
+
+def maslov_orbit_space_batch(
+    a: ExponentVector, types: Sequence[OrbitType], multipliers: Sequence[int]
+) -> tuple[list[bool], list[int]]:
+    """`valid_multiplier` and the closed formula of `maslov_orbit_space` at
+    once for the iterates (types[i], multipliers[i]).
+
+    Returns each iterate's validity (N >= 1 and exactly |J| exponents divide
+    N*m) and its closed-formula index, which is exact on any N, valid or not
+    (the formula is `_index_formula`'s).  Raises nothing: the caller reads
+    the validity.
+    """
+    totals = list(map(mul, map(attrgetter("m"), types), multipliers))
+    sizes = list(map(len, map(attrgetter("J"), types)))
+    zeros = map(sum, zip(*[map(not_, map(mod, totals, repeat(x))) for x in a.a]))
+    floors = map(sum, zip(*[map(floordiv, totals, repeat(x)) for x in a.a]))
+    valid = list(map(and_, map(int.__eq__, zeros, sizes), map(gt, multipliers, repeat(0))))
+    k = len(a.a)
+    return valid, [2 * (f - t) + k - s for f, t, s in zip(floors, totals, sizes)]
+
+
+def maslov_crosscheck_batch(
+    a: ExponentVector, types: Sequence[OrbitType], multipliers: Sequence[int]
+) -> list[int]:
+    """`maslov_crosscheck` at once for the iterates (types[i], multipliers[i]).
+
+    Each index is sum_j (floor(N*m/a_j) + ceil(N*m/a_j)) - 2*N*m, the
+    unitary-path sum with ceil(x) = -floor(-x): equal to `maslov_crosscheck`
+    for every N >= 1, valid or not.  No check on N.
+    """
+    totals = list(map(mul, map(attrgetter("m"), types), multipliers))
+    negated = list(map(neg, totals))
+    turns = map(sum, zip(*[
+        map(sub, map(floordiv, totals, repeat(x)), map(floordiv, negated, repeat(x)))
+        for x in a.a
+    ]))
+    return [u - 2 * t for u, t in zip(turns, totals)]

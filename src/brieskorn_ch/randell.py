@@ -50,7 +50,8 @@ from .exact import gcd_set, lcm_set, subsets  # unused, kept for perfbench's tra
 # divisor-ring product, the orbit types and each kappa's divisor sum walk
 # every one of them.
 MAX_EXPONENTS = 16
-# The torsion is written one cyclic factor at a time; a longer one is refused.
+# The output budget: the torsion is written one cyclic factor at a time and
+# `exotic` one row per copy, and a longer one is refused.
 MAX_TORSION_FACTORS = 10**6
 
 

@@ -268,6 +268,21 @@ def test_exotic_rows_equal_a_left_fold_of_combine(capsys, primes):
     ]
 
 
+def test_exotic_refuses_more_copies_than_it_can_write(capsys):
+    # 10**8 rows would run out of memory before a byte is written; the
+    # count is refused against the output budget before any work
+    import time
+
+    from brieskorn_ch.randell import MAX_TORSION_FACTORS
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "exotic", "--primes", "3", "5", "--copies", "100000000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (f"error: --copies 100000000 asks for more than {MAX_TORSION_FACTORS}"
+                   " rows: too large to write\n")
+
+
 def test_exotic_refuses_zero_copies(capsys):
     code, out, err = run(capsys, "exotic", "--primes", "3", "5", "--copies", "0")
     assert (code, out, err) == (1, "", "error: need at least one summand\n")
@@ -452,13 +467,27 @@ def test_homology_invariant_failure_exits_5(capsys, monkeypatch):
 
 
 def test_crosscheck_mismatch_exits_5(capsys, monkeypatch):
-    from brieskorn_ch import cli
-
-    monkeypatch.setattr(cli, "maslov_crosscheck", lambda a, t, N: -999)
+    monkeypatch.setattr(cli, "maslov_crosscheck_batch", lambda a, types, Ns: [-999] * len(Ns))
     code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--crosscheck")
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal invariant failed: index mismatch")
+
+
+def test_crosscheck_exits_5_when_the_batched_validity_contradicts_the_scalar_one(
+    capsys, monkeypatch
+):
+    # every row passes the scalar routes, so no row is named
+    original = cli.maslov_orbit_space_batch
+
+    def all_invalid(a, types, Ns):
+        return [False] * len(Ns), original(a, types, Ns)[1]
+
+    monkeypatch.setattr(cli, "maslov_orbit_space_batch", all_invalid)
+    code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--crosscheck")
+    assert (code, out) == (5, "")
+    assert err == ("error: internal invariant failed: the batched validity check rejects"
+                   " a row the scalar one accepts\n")
 
 
 def test_more_than_sixteen_exponents_are_refused(capsys):
@@ -533,15 +562,21 @@ def test_sum_cutoff_trims_the_inputs_before_they_are_combined(capsys, monkeypatc
 
 
 def test_crosscheck_checks_each_index_once(capsys, monkeypatch):
-    # the index depends on (m, N) only: 10 contributions, 5 distinct pairs
+    # the index depends on (m, N) only: 10 contributions, 5 distinct pairs,
+    # handed to the batched route once; the scalar routes run only on a fault
     calls = []
-    original = cli.maslov_crosscheck
+    original = cli.maslov_crosscheck_batch
 
-    def counting(a, t, N):
-        calls.append((t.m, N))
-        return original(a, t, N)
+    def counting(a, types, Ns):
+        calls.extend((t.m, N) for t, N in zip(types, Ns))
+        return original(a, types, Ns)
 
-    monkeypatch.setattr(cli, "maslov_crosscheck", counting)
+    def refuse(a, t, N):
+        raise AssertionError("a scalar route ran on a clean report")
+
+    monkeypatch.setattr(cli, "maslov_crosscheck_batch", counting)
+    monkeypatch.setattr(cli, "maslov_crosscheck", refuse)
+    monkeypatch.setattr(cli, "maslov_orbit_space", refuse)
     code, envelope, err = run_json(
         capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--provenance", "--crosscheck"
     )
@@ -560,32 +595,60 @@ def test_crosscheck_checks_each_index_once(capsys, monkeypatch):
     ((2, 3, 0, 8, 1), "is not an iterate of an orbit type"),
     # 4 is no type's time: J_4 = {1, 2, 3} has lcm 2
     ((4, 1, 0, 4, 1), "is not an iterate of an orbit type"),
-], ids=["degree-off-by-two", "invalid-multiplier", "not-a-type-time"])
+    # N = 0 is no iterate, though every exponent divides 0 * m
+    ((6, 0, 0, 0, 1), "is not an iterate of an orbit type"),
+    # no injected row: the scan's own, with the batched unitary route off
+    # by one on the last of the 5 distinct pairs only
+    (None, "index mismatch for m=6, N=1: 8 != 9"),
+], ids=["degree-off-by-two", "invalid-multiplier", "not-a-type-time", "zero-multiplier",
+        "batch-off-on-a-later-pair"])
 def test_crosscheck_checks_the_rows_the_scan_wrote(capsys, monkeypatch, row, fault):
     from dataclasses import replace
 
-    real = cli.ch_report
-    monkeypatch.setattr(cli, "ch_report", lambda a, window: replace(real(a, window), rows=(row,)))
+    if row is None:
+        original = cli.maslov_crosscheck_batch
+
+        def corrupted(a, types, Ns):
+            indices = original(a, types, Ns)
+            indices[-1] += 1
+            return indices
+
+        monkeypatch.setattr(cli, "maslov_crosscheck_batch", corrupted)
+    else:
+        real = cli.ch_report
+        monkeypatch.setattr(
+            cli, "ch_report", lambda a, window: replace(real(a, window), rows=(row,))
+        )
     code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--crosscheck")
     assert code == 5
     assert out == ""
-    m, N = row[:2]
-    assert err.startswith("error: internal invariant failed: ")
-    assert f"m={m}, N={N}" in err and fault in err
+    assert err.startswith("error: internal invariant failed: ") and fault in err
+    if row is not None:
+        assert f"m={row[0]}, N={row[1]}" in err
 
 
 def test_crosscheck_reports_the_first_faulty_row(capsys, monkeypatch):
     from dataclasses import replace
 
-    rows = ((2, 1, 0, 4, 1), (2, 3, 0, 8, 1))  # degree off by two, then an invalid N
+    cases = [
+        # degree off by two, then an invalid N
+        (((2, 1, 0, 4, 1), (2, 3, 0, 8, 1)),
+         "degree 4 at m=2, N=1, j=0 puts the index at 5, both routes give 3"),
+        # an invalid N, then a degree off by two
+        (((2, 3, 0, 8, 1), (2, 1, 0, 4, 1)),
+         "row at m=2, N=3 is not an iterate of an orbit type"),
+        # faults in two types, the later type's row first
+        (((2, 1, 0, 2, 1), (6, 1, 2, 10, 2), (2, 2, 0, 6, 1)),
+         "degree 10 at m=6, N=1, j=2 puts the index at 10, both routes give 8"),
+    ]
     real = cli.ch_report
-    monkeypatch.setattr(cli, "ch_report", lambda a, window: replace(real(a, window), rows=rows))
-    code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--crosscheck")
-    assert (code, out) == (5, "")
-    assert err == (
-        "error: internal invariant failed: degree 4 at m=2, N=1, j=0 puts the index at 5,"
-        " both routes give 3\n"
-    )
+    for rows, fault in cases:
+        monkeypatch.setattr(
+            cli, "ch_report", lambda a, window, rows=rows: replace(real(a, window), rows=rows)
+        )
+        code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--crosscheck")
+        assert (code, out) == (5, "")
+        assert err == f"error: internal invariant failed: {fault}\n"
 
 
 def test_crosscheck_builds_only_the_types_its_rows_name(capsys, monkeypatch):
@@ -608,6 +671,39 @@ def test_crosscheck_builds_only_the_types_its_rows_name(capsys, monkeypatch):
     expected["diagnostics"] = [checked]
     expected["input"]["crosscheck"] = True
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_crosscheck_keeps_the_envelope_of_every_benchmark_window(capsys, monkeypatch):
+    # every ch query of two benchmark passes, run plain and with
+    # --crosscheck: the same exit and payload, and one more diagnostic
+    # counting every row of the report
+    from pathlib import Path
+
+    from brieskorn_ch.randell import ExponentVector
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from queries import generate
+
+    checked_rows = 0
+    for seed in (1, 2):
+        for query in generate("ch_window", seed):
+            argv = [arg for arg in query.argv if arg != "--crosscheck"]
+            code, plain, _ = run_json(capsys, *argv)
+            crossed_code, crossed, _ = run_json(capsys, *argv, "--crosscheck")
+            assert crossed_code == code
+            assert crossed["input"].pop("crosscheck") is True
+            assert plain["input"].pop("crosscheck") is False
+            added = [d for d in crossed["diagnostics"] if d not in plain["diagnostics"]]
+            assert crossed["diagnostics"] == added + plain["diagnostics"]
+            crossed["diagnostics"] = plain["diagnostics"]
+            assert crossed == plain
+            if code == 2:  # degenerate: no report, nothing to check
+                assert added == []
+                continue
+            rows = len(cli.ch_report(ExponentVector(query.exponents), query.window).rows)
+            assert added == [f"crosscheck: {rows} contributions verified by both routes"]
+            checked_rows += rows
+    assert checked_rows > 10_000
 
 
 def counting_plans(monkeypatch):

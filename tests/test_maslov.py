@@ -7,7 +7,9 @@ from brieskorn_ch.exact import lcm_set
 from brieskorn_ch.maslov import (
     classify_index,
     maslov_crosscheck,
+    maslov_crosscheck_batch,
     maslov_orbit_space,
+    maslov_orbit_space_batch,
     maslov_unitary,
 )
 from brieskorn_ch.orbits import enumerate_orbit_types, valid_multiplier
@@ -105,6 +107,40 @@ def test_crosscheck_identity_on_valid_multipliers():
             for N in range(1, 51):
                 if valid_multiplier(ev, t, N):
                     assert maslov_orbit_space(ev, t, N) == maslov_crosscheck(ev, t, N)
+
+
+def test_batched_routes_equal_the_scalar_routes():
+    # every type of each vector, N over three of its periods and N <= 0,
+    # in one batch: validity as `valid_multiplier` (false where it refuses
+    # N < 1), the closed formula as `maslov_orbit_space` where N is valid,
+    # and the unitary-path index as `maslov_crosscheck` on every N >= 1,
+    # off the closed formula on an invalid N by the exponents outside J
+    # that divide N*m, as in the divergence test above
+    rng = random.Random(2107)
+    checked = 0
+    for _ in range(40):
+        ev = ExponentVector(tuple(rng.randint(2, 12) for _ in range(rng.randint(4, 8))))
+        types, Ns = [], []
+        for t in enumerate_orbit_types(ev):
+            for N in [*range(-2, 1), *range(1, 3 * ev.lcm() // t.m + 1)]:
+                types.append(t)
+                Ns.append(N)
+        valid, closed = maslov_orbit_space_batch(ev, types, Ns)
+        unitary = maslov_crosscheck_batch(ev, types, Ns)
+        assert len(valid) == len(closed) == len(unitary) == len(Ns)
+        for t, N, ok, index, indirect in zip(types, Ns, valid, closed, unitary):
+            if N < 1:
+                assert ok is False
+                continue
+            assert ok is valid_multiplier(ev, t, N)
+            assert indirect == maslov_crosscheck(ev, t, N)
+            if ok:
+                assert index == indirect == maslov_orbit_space(ev, t, N)
+            else:
+                absorbed = sum(1 for j, x in enumerate(ev) if j not in t.J and not N * t.m % x)
+                assert absorbed > 0 and indirect == index - absorbed
+        checked += len(Ns)
+    assert checked > 10_000
 
 
 def test_index_parity_matches_complement_size():

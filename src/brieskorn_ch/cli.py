@@ -6,7 +6,10 @@ the manifold), `orbits` (orbit types and the index character), `ch`
 reports) and `exotic` (special-sphere construction and iterated sums).
 
 Reports go to stdout as a versioned JSON envelope (or an aligned text
-table with the same numbers); diagnostics go to stderr.  Exit codes:
+table with the same numbers); diagnostics go to stderr.  Commands return
+the report objects themselves, and one writer walks them straight to the
+text of `json.dumps(envelope, sort_keys=True, indent=2)`, through a layout
+cached per report type and indent.  Exit codes:
 
     0  success
     1  usage or malformed input, schema mismatch, or an answer too large to write
@@ -26,12 +29,13 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter, methodcaller
 
 from .connected_sum import (
     GeneratorCounts,
@@ -91,56 +95,28 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# report objects -> JSON values
+# report objects -> JSON text
 
-# Payload fields that differ from the dataclass: (fields left out, derived fields).
+# A report's keys that are not its fields: (fields left out, derived keys,
+# each read by an attribute name or a function of the report).
 _OVERRIDES = {
-    HomologyReport: (("full_graded",), lambda r: {"graded": [
-        {"degree": degree, "rank": rank, "torsion": list(tors)}
+    HomologyReport: (("full_graded",), {"graded": lambda r: [
+        {"degree": degree, "rank": rank, "torsion": tors}
         for degree, (rank, tors) in sorted(r.full_graded.items())
     ]}),
-    OrbitType: (("J",), lambda t: {"support": list(t.J), "orbit_space_dim": t.orbit_space_dim}),
-    SpecialSphereVerdict: ((), lambda v: {
-        "passed": v.passed, "failing_clauses": list(v.failing_clauses()),
-    }),
-    # Rows are written only when asked for: there can be thousands.
-    CHReport: (("rows",), lambda r: {}),
+    OrbitType: (("J",), {"support": "J", "orbit_space_dim": "orbit_space_dim"}),
+    SpecialSphereVerdict: ((), {"passed": "passed",
+                                "failing_clauses": methodcaller("failing_clauses")}),
+    # Rows are written only when asked for (`ch --provenance`): there can be thousands.
+    CHReport: (("rows",), {}),
 }
 
 
-@cache
-def _field_names(kind: type) -> tuple[str, ...]:
-    left_out = _OVERRIDES.get(kind, ((),))[0]
-    return tuple(f.name for f in fields(kind) if f.name not in left_out)
-
-
-_INT = {int}  # the item types of an array of exact ints
-
-
-def json_value(obj):
-    """JSON value of a report object, by its exact type.
-
-    A dict (the reports' int maps: ranks, period multipliers, counts)
-    becomes a keyless `_Table` of its (key, value) rows sorted by key, a
-    dataclass its {field: value} with the `_OVERRIDES` applied.
-    """
-    kind = type(obj)
-    if kind is int or kind is bool or kind is str:
-        return obj
-    if kind is tuple or kind is list:
-        if {*map(type, obj)} == _INT:  # torsion orders, supports: copied whole
-            return list(obj)
-        return [json_value(item) for item in obj]
-    if kind is dict:
-        return _Table(None, sorted(obj.items()))
-    if kind is ExponentVector:
-        return list(obj.a)
-    if kind is Fraction:
-        return str(obj)
-    out = {name: json_value(getattr(obj, name)) for name in _field_names(kind)}
-    if kind in _OVERRIDES:
-        out.update(_OVERRIDES[kind][1](obj))
-    return out
+@dataclass(frozen=True)
+class _Merged:
+    """A report written with more keys beside its own."""
+    report: object
+    extra: dict
 
 
 @dataclass(frozen=True)
@@ -155,57 +131,103 @@ class _Table:
     rows: tuple[tuple[int, ...], ...] | list[tuple[int, ...]]
 
 
-_CONTRIBUTION_KEYS = ("m", "N", "j", "degree", "count")
-_ITERATED_KEYS = ("copies", "low_degree", "tube_degree")
+_INT = {int}  # the item types of an array of exact ints
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+@cache
+def _dict_layout(keys: tuple[str, ...], pad: str) -> tuple[tuple[str, ...], str]:
+    """An object with these keys: the keys sorted, and its `%`-template, a
+    `%s` per value, whose closing brace sits on `pad`."""
+    ordered = tuple(sorted(keys))
+    inner = pad + "  "
+    items = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in ordered]
+    return ordered, "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
+@cache
+def _layout(kind: type, extra: tuple[str, ...], pad: str) -> tuple[str, Callable]:
+    """A report of type `kind`, or a `_Merged` of one with the `extra` keys: its template, keys
+    sorted, and one function reading their values (one `attrgetter` where all are attributes)."""
+    left_out, derived = _OVERRIDES.get(kind, ((), {}))
+    sources = {f.name: f.name for f in fields(kind) if f.name not in left_out}
+    sources.update(derived)
+    keys, template = _dict_layout((*sources, *extra), pad)
+    names = [sources.get(key) for key in keys]  # None for an extra key
+    if len(keys) > 1 and all(type(name) is str for name in names):
+        return template, attrgetter(*names)
+    getters = [attrgetter(name) if type(name) is str else name for name in names]
+    if not extra:
+        return template, lambda report: [get(report) for get in getters]
+    return template, lambda merged: [
+        merged.extra[key] if get is None else get(merged.report) for key, get in zip(keys, getters)
+    ]
 
 
 @cache
 def _row_template(keys: tuple[str, ...] | None, width: int, pad: str):
-    """`%`-template of one table row of `width` ints whose closing bracket sits
-    on `pad`, and the getter that puts a row's cells in its order: an array
-    and no getter when `keys` is None, else an object with the keys sorted.
-    """
-    inner = pad + "  "
+    """`%`-template of one table row of `width` ints whose closing bracket
+    sits on `pad`, and the getter that puts a row's cells in its order: an
+    array and no getter when `keys` is None, else an object, keys sorted."""
     if keys is None:
+        inner = pad + "  "
         return "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]", None
-    order = sorted(range(width), key=keys.__getitem__)
-    items = [encode_basestring_ascii(keys[i]).replace("%", "%%") + ": %d" for i in order]
-    return "{" + inner + ("," + inner).join(items) + pad + "}", itemgetter(*order)
+    ordered, template = _dict_layout(keys, pad)
+    return template, itemgetter(*map(keys.index, ordered))
+
+
+def _table(keys: tuple[str, ...] | None, rows, pad: str) -> str:
+    """Int rows, each through its table shape's cached template; the cells
+    are ints by construction (a bool would be written 1 or True, not true)."""
+    if not rows:
+        return "[]"
+    inner = pad + "  "
+    template, cells = _row_template(keys, len(rows[0]), inner)
+    items = map(template.__mod__, rows if cells is None else map(cells, rows))
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _members(template: str, values, pad: str, maps_as_rows: bool) -> str:
+    """An object through its `%`-template, from its values in key order.
+    Ints, strings, bools, None and arrays of exact ints are written inline;
+    a dict, where `maps_as_rows` (a report's int maps: ranks, period
+    multipliers, counts), as its keyless rows [key, value] sorted by key."""
+    inner = pad + "  "
+    deeper = inner + "  "
+    return template % tuple([
+        str(item) if (kind := type(item)) is int
+        else encode_basestring_ascii(item) if kind is str
+        else _LITERALS[item] if kind is bool or item is None
+        else ("[" + deeper + ("," + deeper).join(map(str, item)) + inner + "]" if item else "[]")
+        if (kind is tuple or kind is list) and {*map(type, item)} <= _INT
+        else _table(None, sorted(item.items()), inner) if kind is dict and maps_as_rows
+        else _dumps(item, inner)
+        for item in values
+    ])
 
 
 def _dumps(value, pad: str = "\n") -> str:
-    """The text of `json.dumps(value, sort_keys=True, indent=2)`, byte for byte.
+    """The text of `json.dumps(value, sort_keys=True, indent=2)`, byte for
+    byte, each report object taken as the JSON value it stands for.
 
-    `pad` is the newline and indent the value's closing bracket sits on.
-    A `_Table` is written as its list of arrays or {key: cell} objects,
-    each row through one `%`-template cached per table shape (keys, width,
-    indent); its cells are ints by construction (`%d` would write a bool as
-    1, where JSON needs true).  A list or tuple of exact ints is written in
-    one join.  Every other value is written item by item, strings through
-    the C escaper.
-    The standard library's indented encoder is pure Python and takes
-    twice as long on large envelopes.
+    `pad` is the newline and indent the closing bracket sits on.  A report
+    is written through its type's `_layout`, a dict through the template
+    of its keys; an `ExponentVector` is its exponents, a `Fraction` its
+    string.  The standard library's indented encoder is pure Python and
+    takes twice as long on large envelopes.
     """
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return str(value)
-    if kind is _Table:
-        keys, rows = value.keys, value.rows
-        if not rows:
-            return "[]"
-        inner = pad + "  "
-        template, cells = _row_template(keys, len(rows[0]), inner)
-        items = map(template.__mod__, rows if cells is None else map(cells, rows))
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is dict:
         if not value:
             return "{}"
-        inner = pad + "  "
-        items = [f"{encode_basestring_ascii(key)}: {_dumps(value[key], inner)}"
-                 for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        keys, template = _dict_layout(tuple(value), pad)
+        return _members(template, map(value.__getitem__, keys), pad, False)
+    if kind is ExponentVector:
+        value, kind = value.a, tuple
     if kind is list or kind is tuple:
         if not value:
             return "[]"
@@ -215,13 +237,23 @@ def _dumps(value, pad: str = "\n") -> str:
         else:
             items = [_dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(value)  # true, false, null
+    if kind is _Table:
+        return _table(value.keys, value.rows, pad)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    if kind is Fraction:
+        return encode_basestring_ascii(str(value))
+    if kind is _Merged:
+        template, values = _layout(type(value.report), tuple(value.extra), pad)
+    else:
+        template, values = _layout(kind, (), pad)
+    return _members(template, values(value), pad, True)
 
 
 # ---------------------------------------------------------------------------
 # text rendering
 
-def _group_str(rank: int, tors: list[int]) -> str:
+def _group_str(rank: int, tors: tuple[int, ...]) -> str:
     parts = []
     if rank == 1:
         parts.append("Z")
@@ -231,81 +263,68 @@ def _group_str(rank: int, tors: list[int]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _render_text(envelope: dict) -> str:
-    command, payload = envelope["command"], envelope["payload"]
+def _character_line(character) -> str:
+    return f"character: {character.sign} (sum 1/a = {character.reciprocal_sum})"
+
+
+def _render_text(command: str, payload) -> str:
+    """The `--format text` form of a payload, read off the same report objects."""
     lines = [f"command: {command}"]
-    if "exponents" in payload:
-        lines.append(f"exponents: {tuple(payload['exponents'])}")
-    if "error" in payload:
-        lines.append(f"error: {payload['error']}")
-    elif "character" in payload:
-        char = payload["character"]
-        lines.append(f"character: {char['sign']} (sum 1/a = {char['reciprocal_sum']})")
     if command == "homology":
-        lines.append(f"description: {payload['description']}")
-        lines.append(f"middle rank: {payload['middle_rank']}")
-        tors = payload["torsion"]
-        lines.append(f"torsion: {tuple(tors) if tors else '(none)'}")
-        for entry in payload["graded"]:
-            group = _group_str(entry["rank"], entry["torsion"])
-            lines.append(f"H_{entry['degree']} = {group}")
+        tors = payload.torsion
+        lines += [f"exponents: {payload.exponents.a}", f"description: {payload.description}",
+                  f"middle rank: {payload.middle_rank}", f"torsion: {tors if tors else '(none)'}"]
+        lines += [f"H_{degree} = {_group_str(rank, tors)}"
+                  for degree, (rank, tors) in sorted(payload.full_graded.items())]
     elif command == "orbits":
-        lines.append("orbit types:")
-        for t in payload["orbit_types"]:
-            support = ",".join(str(j) for j in t["support"])
-            lines.append(
-                f"  m={t['m']:<6d} J={{{support}}}  dim={t['orbit_space_dim']}"
-            )
-    elif command == "ch" and "error" not in payload:
-        lines.append(f"period shift: {payload['period_shift']}")
-        steps = ", ".join(f"m={m}: {s}" for m, s in payload["period_multipliers"].rows)
-        lines.append(f"period multipliers: {steps}")
-        lines.append(f"well defined: {'yes' if payload['well_defined'] else 'no'}")
-        window = payload["ranks"]["window"]
-        lines.append(f"ranks on [{window[0]}, {window[1]}]:")
-        lines.append("  degree  rank")
-        for degree, rank in payload["ranks"]["ranks"].rows:
-            lines.append(f"  {degree:>6d}  {rank:>4d}")
-        if "contributions" in payload:
-            for m, N, j, degree, count in payload["contributions"].rows:
-                lines.append(f"  from m={m} N={N} j={j}: {count} in degree {degree}")
+        lines += [f"exponents: {payload['exponents'].a}", _character_line(payload["character"]),
+                  "orbit types:"]
+        lines += [f"  m={t.m:<6d} J={{{','.join(map(str, t.J))}}}  dim={t.orbit_space_dim}"
+                  for t in payload["orbit_types"]]
+    elif command == "ch" and type(payload) is dict:  # a degenerate character
+        lines += [f"exponents: {payload['exponents'].a}", f"error: {payload['error']}"]
+    elif command == "ch":
+        report = payload.report if type(payload) is _Merged else payload
+        steps = ", ".join(f"m={m}: {s}" for m, s in sorted(report.period_multipliers.items()))
+        lo, hi = report.ranks.window
+        lines += [f"exponents: {report.exponents.a}", _character_line(report.character),
+                  f"period shift: {report.period_shift}", f"period multipliers: {steps}",
+                  f"well defined: {'yes' if report.well_defined else 'no'}",
+                  f"ranks on [{lo}, {hi}]:", "  degree  rank"]
+        lines += [f"  {degree:>6d}  {rank:>4d}" for degree, rank in report.ranks.items()]
+        if type(payload) is _Merged:
+            lines += [f"  from m={m} N={N} j={j}: {count} in degree {degree}"
+                      for m, N, j, degree, count in report.rows]
     elif command == "sum":
         counts = payload["generator_counts"]
-        lines.append(f"half-dimension n: {counts['half_dim_n']}")
-        lines.append(f"cutoff: {counts['cutoff']}")
-        lines.append("  degree  count")
-        for degree, count in counts["counts"].rows:
-            lines.append(f"  {degree:>6d}  {count:>5d}")
+        lines += [f"half-dimension n: {counts.half_dim_n}", f"cutoff: {counts.cutoff}",
+                  "  degree  count"]
+        lines += [f"  {degree:>6d}  {count:>5d}" for degree, count in sorted(counts.counts.items())]
     elif command == "exotic":
         verdict = payload["verdict"]
-        lines.append(f"primes: {tuple(verdict['primes'])}")
-        lines.append(f"check passed: {verdict['passed']}")
-        for clause in verdict["failing_clauses"]:
-            lines.append(f"  failing: {clause}")
+        lines += [f"primes: {verdict.primes}", f"check passed: {verdict.passed}"]
+        lines += [f"  failing: {clause}" for clause in verdict.failing_clauses()]
         if "iterated_counts" in payload:
             lines.append("  copies  deg 2n-4 (>=)  deg 2n-3 (exact)")
-            for copies, low, tube in payload["iterated_counts"].rows:
-                lines.append(f"  {copies:>6d}  {low:>13d}  {tube:>16d}")
+            lines += [f"  {copies:>6d}  {low:>13d}  {tube:>16d}"
+                      for copies, low, tube in payload["iterated_counts"].rows]
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (payload, diagnostics, exit code); `main` echoes
-# the arguments, so a command that resolves a default writes it to `args`
+# commands: each returns (payload, diagnostics, exit code), the payload a
+# report object or a dict of them; `main` echoes the arguments, so a command
+# that resolves a default writes it to `args`
 
 def _cmd_homology(args):
     a = ExponentVector(tuple(args.exponents))
-    return json_value(full_homology(a)), [], EXIT_OK
+    return full_homology(a), [], EXIT_OK
 
 
 def _cmd_orbits(args):
     a = ExponentVector(tuple(args.exponents))
     character = classify_index(a)
-    payload = {
-        "exponents": list(a),
-        "character": json_value(character),
-        "orbit_types": json_value(enumerate_orbit_types(a)),
-    }
+    payload = {"exponents": a, "character": character, "orbit_types": enumerate_orbit_types(a)}
     diagnostics = []
     if character.is_degenerate:
         diagnostics.append(
@@ -398,11 +417,7 @@ def _cmd_ch(args):
     try:
         report = ch_report(a, args.window)
     except DegenerateContactFormError as exc:
-        payload = {
-            "exponents": list(a),
-            "error": "degenerate",
-            "character": json_value(classify_index(a)),
-        }
+        payload = {"exponents": a, "error": "degenerate", "character": classify_index(a)}
         return payload, [str(exc)], EXIT_DEGENERATE
 
     diagnostics = []
@@ -410,18 +425,16 @@ def _cmd_ch(args):
         checked = _run_crosscheck(a, report)
         diagnostics.append(f"crosscheck: {checked} contributions verified by both routes")
     if any(degree % 2 for degree in report.ranks.ranks):
-        diagnostics.append(
-            "odd-degree generators present (an orbit space has odd middle homology)"
-        )
+        diagnostics.append("odd-degree generators present (an orbit space has odd middle homology)")
     if not report.well_defined:
         diagnostics.append(
             "generators in degree -1, 0 or 1: not an invariant of the contact structure"
         )
-    payload = json_value(report)
+    payload = report
     if args.provenance:
-        payload["contributions"] = _Table(_CONTRIBUTION_KEYS, report.rows)
-    code = EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
-    return payload, diagnostics, code
+        contributions = _Table(("m", "N", "j", "degree", "count"), report.rows)
+        payload = _Merged(report, {"contributions": contributions})
+    return payload, diagnostics, EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
 
 
 def _counts_from_envelope(obj: dict) -> GeneratorCounts:
@@ -460,23 +473,17 @@ def _counts_from_envelope(obj: dict) -> GeneratorCounts:
         # Counts mean something only for an invariant whose degrees are
         # bounded below: a well-defined, index-positive report.
         if payload.get("well_defined") is not True:
-            raise ValueError(
-                "contact homology not well defined (generators in degree"
-                " -1, 0 or 1); its counts cannot be summed"
-            )
+            raise ValueError("contact homology not well defined (generators in degree"
+                             " -1, 0 or 1); its counts cannot be summed")
         if sign != "positive":
-            raise ValueError(
-                f"index character is {sign}, so degrees are unbounded below;"
-                " only index-positive reports can be summed"
-            )
+            raise ValueError(f"index character is {sign}, so degrees are unbounded below;"
+                             " only index-positive reports can be summed")
         # Such a report has every generator in degree 2 or above (degrees
         # are >= -1 and none lie in -1, 0, 1), so a window starting at or
         # below 2 misses none of them.
         if edges[0] > 2:
-            raise ValueError(
-                f"window starts at {edges[0]}, so generators below it are missing;"
-                " only reports whose window starts at or below 2 can be summed"
-            )
+            raise ValueError(f"window starts at {edges[0]}, so generators below it are missing;"
+                             " only reports whose window starts at or below 2 can be summed")
     return total
 
 
@@ -500,26 +507,23 @@ def _cmd_sum(args):
     if len(dims) > 1:
         raise ValueError(f"half-dimension mismatch across inputs: {sorted(dims)}")
 
-    if args.cutoff is not None:
-        # `combine` keeps the degrees up to the least cutoff, so trimming the
-        # inputs first gives the same sum without the tubes above --cutoff.
-        counts_list = [
-            GeneratorCounts(
-                counts={d: c for d, c in counts.counts.items() if d <= args.cutoff},
-                cutoff=min(args.cutoff, counts.cutoff),
-                half_dim_n=counts.half_dim_n,
-            )
-            for counts in counts_list
-        ]
-    return {"generator_counts": json_value(reduce(combine, counts_list))}, [], EXIT_OK
+    # `combine` keeps the degrees up to the least cutoff and adds a tube count in every odd
+    # degree from 2n - 3 up to it: the tubes are counted, and the inputs trimmed, before any sum.
+    cutoff = min(counts.cutoff for counts in counts_list)
+    cutoff = cutoff if args.cutoff is None else min(cutoff, args.cutoff)
+    tubes = (cutoff - (2 * dims.pop() - 3)) // 2 + 1  # the odd degrees 2n - 3, ..., cutoff
+    if len(counts_list) > 1 and tubes > MAX_TORSION_FACTORS:
+        raise ValueError(f"cutoff {cutoff} asks for more than {MAX_TORSION_FACTORS} tube degrees:"
+                         " too large to write")
+    counts_list = [GeneratorCounts({d: c for d, c in counts.counts.items() if d <= cutoff}, cutoff,
+                                   counts.half_dim_n) for counts in counts_list]
+    return {"generator_counts": reduce(combine, counts_list)}, [], EXIT_OK
 
 
 def _cmd_exotic(args):
     if args.copies > MAX_TORSION_FACTORS:  # one row per copy: refused before any is built
-        raise ValueError(
-            f"--copies {args.copies} asks for more than {MAX_TORSION_FACTORS} rows:"
-            " too large to write"
-        )
+        raise ValueError(f"--copies {args.copies} asks for more than {MAX_TORSION_FACTORS} rows:"
+                         " too large to write")
     primes = tuple(args.primes)
     a = sphere_exponents(primes)
     n = a.n
@@ -532,23 +536,17 @@ def _cmd_exotic(args):
     verdict = special_sphere_check(primes, report)
     if not verdict.passed:
         diagnostics = [f"failing clause: {c}" for c in verdict.failing_clauses()]
-        return {"verdict": json_value(verdict)}, diagnostics, EXIT_SPHERE_CHECK
+        return {"verdict": verdict}, diagnostics, EXIT_SPHERE_CHECK
 
     sphere = GeneratorCounts.of_ranks(report.ranks, n)
     final = iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
     # The r-fold self-sum holds r copies of the sphere's counts and r - 1
     # tubes, so each column steps by one sphere and one tube per row.
     low, tube = (sphere[d] for d in (2 * n - 4, 2 * n - 3))
-    rows = list(zip(
-        range(1, args.copies + 1),
-        count(low, low + beta(n, 2 * n - 4)),
-        count(tube, tube + beta(n, 2 * n - 3)),
-    ))
-    payload = {
-        "verdict": json_value(verdict),
-        "iterated_counts": _Table(_ITERATED_KEYS, rows),
-        "final_counts": json_value(final),
-    }
+    rows = list(zip(range(1, args.copies + 1), count(low, low + beta(n, 2 * n - 4)),
+                    count(tube, tube + beta(n, 2 * n - 3))))
+    iterated = _Table(("copies", "low_degree", "tube_degree"), rows)
+    payload = {"verdict": verdict, "iterated_counts": iterated, "final_counts": final}
     diagnostics = ["degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"]
     return payload, diagnostics, EXIT_OK
 
@@ -570,11 +568,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p[name].add_argument("exponents", nargs="+", type=int)
     p["ch"].add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
     p["ch"].add_argument("--provenance", action="store_true", help="include contributions")
-    p["ch"].add_argument(
-        "--crosscheck",
-        action="store_true",
-        help="verify each distinct index by the independent unitary-path route",
-    )
+    p["ch"].add_argument("--crosscheck", action="store_true",
+                         help="verify each distinct index by the independent unitary-path route")
     p["sum"].add_argument("files", nargs="+", help="JSON envelopes from ch or sum")
     p["sum"].add_argument("--beta-n", type=int, default=None, dest="beta_n")
     p["sum"].add_argument("--cutoff", type=int, default=None)
@@ -582,9 +577,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p["exotic"].add_argument("--copies", type=int, default=1)
     p["exotic"].add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
     for name, func, _ in commands:
-        p[name].add_argument(
-            "--format", choices=("json", "text"), default="json", help="output format"
-        )
+        p[name].add_argument("--format", choices=("json", "text"), default="json",
+                             help="output format")
         p[name].set_defaults(func=func)
     return parser, p
 
@@ -621,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "json":
         sys.stdout.write(_dumps(envelope) + "\n")
     else:
-        sys.stdout.write(_render_text(envelope))
+        sys.stdout.write(_render_text(args.command, payload))
     return code
 
 

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import mod, not_
 
 from .exact import gcd_set, lcm_set, subsets  # unused, kept for perfbench's tracer
@@ -139,17 +140,21 @@ def _ring_product(values: Iterable[int]) -> dict[int, int]:
     """The product of (Lambda_x - 1) over `values`, as {lcm: coefficient}.
 
     Every lcm of a subset of `values` is a key, also where its
-    coefficient cancels to zero.
+    coefficient cancels to zero.  A value x met r times is multiplied in
+    once: as Lambda_x^i = x^(i-1) Lambda_x, (Lambda_x - 1)^r = s + t Lambda_x
+    with s = (-1)^r and t = ((x - 1)^r - s) / x, an exact division.
     """
     terms = {1: 1}
-    for x in values:
+    for x, r in Counter(values).items():
+        s = -1 if r % 2 else 1
+        t = ((x - 1) ** r - s) // x
         product = dict.fromkeys(terms, 0)
-        # Lambda_m (Lambda_x - 1) = g Lambda_top - Lambda_m, g = gcd(m, x), top = lcm(m, x)
+        # Lambda_m (s + t Lambda_x) = s Lambda_m + t g Lambda_top, g = gcd(m, x), top = lcm(m, x)
         for m, c in terms.items():
             g = math.gcd(m, x)
             top = m // g * x
-            product[m] -= c
-            product[top] = product.get(top, 0) + c * g
+            product[m] += s * c
+            product[top] = product.get(top, 0) + t * c * g
         terms = product
     return terms
 
@@ -244,11 +249,11 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     with its runs named before any tuple is built.
     """
     factor: dict[int, int] = {}  # kappa value -> product of the C > 1 it carries
-    for g in _closure(a, math.gcd, 0) - {0, 1}:
-        S = [j for j, x in enumerate(a) if x % g]
-        m = math.lcm(*(a[j] for j in S))
+    for g in _closure(set(a.a), math.gcd, 0) - {0, 1}:
+        outside = [x for x in a.a if x % g]  # the exponents of S
+        m = math.lcm(*outside)
         c = g // math.gcd(g, m)
-        if (len(a) - len(S)) % 2 == 1 and c > 1:  # S is J_m, and |K| is odd
+        if (len(a) - len(outside)) % 2 == 1 and c > 1:  # S is J_m, and |K| is odd
             level = closed_kappa(a, m)
             if level > 0:
                 factor[level] = factor.get(level, 1) * c
@@ -267,7 +272,7 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
         named = " + ".join(f"(Z/{d})^{length}" for d, length in runs)
         raise ValueError(f"torsion {named} has more than {MAX_TORSION_FACTORS} "
                          "cyclic factors: too large to write")
-    return tuple(d for d, length in runs for _ in range(length))
+    return tuple(chain.from_iterable(repeat(d, length) for d, length in runs))
 
 
 def full_homology(a: ExponentVector) -> HomologyReport:

@@ -6,7 +6,10 @@ Usage, from the root of a checkout:
 
 Every query of the given seeds of all three workloads of
 `perfbench/queries.py` is run in process through `brieskorn_ch.cli.main`,
-once as written and once with `--format text`.  Each run prints one line,
+once as written and once with `--format text`, and so is `orbits` on the
+exponents of every `homology` and `ch` query (no workload runs `orbits`,
+whose list of orbit types is the longest the writer walks).  Each run
+prints one line,
 `<workload> <seed> <sha256> <argv>`.  Diff the output of two checkouts to
 see that a change keeps every byte the tool writes.  The `sum` inputs are
 written by the tool itself into a temporary directory, so nothing lands in
@@ -54,8 +57,12 @@ def main_digest(spec: str) -> None:
                 write_sum_pool(seed, lambda argv: run(argv)[1])
                 for workload in WORKLOADS:
                     for query in generate(workload, seed):
-                        for argv in (list(query.argv), [*query.argv, "--format", "text"]):
-                            print(workload, seed, digest(argv), " ".join(argv))
+                        runs = [list(query.argv)]
+                        if query.command in ("homology", "ch"):
+                            runs.append(["orbits", *map(str, query.exponents)])
+                        for argv in runs:
+                            for variant in (argv, [*argv, "--format", "text"]):
+                                print(workload, seed, digest(variant), " ".join(variant))
         finally:
             os.chdir(here)
 

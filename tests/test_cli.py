@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,11 @@ from hypothesis import strategies as st
 
 from brieskorn_ch import cli
 from brieskorn_ch.cli import main
+from brieskorn_ch.connected_sum import GeneratorCounts, SpecialSphereVerdict
+from brieskorn_ch.contact import CHReport, GradedRanks
+from brieskorn_ch.maslov import IndexCharacter
+from brieskorn_ch.orbits import OrbitType
+from brieskorn_ch.randell import ExponentVector, HomologyReport
 
 
 def run(capsys, *argv):
@@ -542,6 +550,31 @@ def test_torsion_too_long_to_write_exits_1(capsys):
                    " too large to write\n")
 
 
+@pytest.mark.parametrize("kind", ["ch", "sum"])
+def test_sum_refuses_more_tube_degrees_than_it_can_write(capsys, tmp_path, kind):
+    # a cutoff of 10**11 asks for 5 * 10**10 tube counts, which would run out
+    # of memory inside `combine`; the least cutoff is sized before any sum
+    from brieskorn_ch.randell import MAX_TORSION_FACTORS
+
+    envelope = json.loads(run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12")[1])
+    if kind == "ch":
+        envelope["payload"]["ranks"]["window"][1] = 10**11
+    else:
+        envelope["payload"] = {"generator_counts": {"counts": [], "cutoff": 10**11, "half_dim_n": 3}}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(envelope))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sum", str(big), str(big))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == (f"error: cutoff {10**11} asks for more than {MAX_TORSION_FACTORS}"
+                   " tube degrees: too large to write\n")
+    # one file is no sum, and --cutoff lowers the least cutoff under the budget
+    assert run(capsys, "sum", str(big))[0] == 0
+    code, envelope, _ = run_json(capsys, "sum", str(big), str(big), "--cutoff", "8")
+    assert code == 0 and envelope["payload"]["generator_counts"]["cutoff"] == 8
+
+
 def test_sum_cutoff_trims_the_inputs_before_they_are_combined(capsys, monkeypatch, tmp_path):
     f1 = write_counts_file(tmp_path / "a.json", {4: 1, 12: 2}, 40, 3)
     f2 = write_counts_file(tmp_path / "b.json", {6: 1, 20: 3}, 30, 3)
@@ -884,27 +917,76 @@ def test_writer_matches_the_indented_json_encoder(capsys, tmp_path):
         assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+def int_rows(mapping):
+    """An int map (ranks, period multipliers, counts) as its payload rows [key, value]."""
+    return [[key, value] for key, value in sorted(mapping.items())]
+
+
 def plain(value):
-    """A `_Table` as the list of arrays or objects it stands for, for the standard encoder."""
-    if type(value) is cli._Table and value.keys is None:
+    """A report object as the plain JSON value the README's payload
+    paragraph gives it, for the standard encoder (`default=`); every key is
+    spelled out here, none read off the writer's layouts."""
+    kind = type(value)
+    if kind is cli._Table and value.keys is None:
         return [list(row) for row in value.rows]
-    if type(value) is cli._Table:
+    if kind is cli._Table:
         return [dict(zip(value.keys, row)) for row in value.rows]
-    raise TypeError(type(value).__name__)
+    if kind is cli._Merged:
+        return {**plain(value.report), **value.extra}
+    if kind is ExponentVector:
+        return list(value.a)
+    if kind is IndexCharacter:
+        return {"sign": value.sign, "reciprocal_sum": str(value.reciprocal_sum)}
+    if kind is GradedRanks:
+        return {"ranks": int_rows(value.ranks), "window": list(value.window)}
+    if kind is OrbitType:
+        return {"m": value.m, "support": list(value.J), "orbit_space_dim": 2 * len(value.J) - 4}
+    if kind is GeneratorCounts:
+        return {"counts": int_rows(value.counts), "cutoff": value.cutoff,
+                "half_dim_n": value.half_dim_n}
+    if kind is HomologyReport:
+        graded = [{"degree": degree, "rank": rank, "torsion": list(tors)}
+                  for degree, (rank, tors) in sorted(value.full_graded.items())]
+        return {"exponents": value.exponents, "middle_rank": value.middle_rank,
+                "torsion": list(value.torsion), "graded": graded,
+                "homotopy_sphere": value.homotopy_sphere, "description": value.description}
+    if kind is CHReport:
+        return {"exponents": value.exponents, "character": value.character,
+                "ranks": value.ranks, "period_shift": value.period_shift,
+                "period_multipliers": int_rows(value.period_multipliers),
+                "well_defined": value.well_defined}
+    if kind is SpecialSphereVerdict:
+        return {"primes": list(value.primes), "is_homotopy_sphere": value.is_homotopy_sphere,
+                "low_degree_rank": value.low_degree_rank,
+                "tube_degree_rank": value.tube_degree_rank,
+                "ranks_below": [list(row) for row in value.ranks_below],
+                "well_defined": value.well_defined, "index_positive": value.index_positive,
+                "passed": value.passed, "failing_clauses": list(value.failing_clauses())}
+    raise TypeError(kind.__name__)
 
 
-def tables_in(value):
-    """Every `_Table` inside a payload."""
-    if type(value) is cli._Table:
+def reports_in(value):
+    """Every report object and `_Table` inside a payload, reports inside
+    reports included."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        for item in value.values() if kind is dict else value:
+            yield from reports_in(item)
+    elif kind is cli._Merged:
+        yield from reports_in(value.report)
+        yield from reports_in(value.extra)
+    elif kind is cli._Table:
         yield value
-    elif type(value) in (dict, list, tuple):
-        for item in value.values() if type(value) is dict else value:
-            yield from tables_in(item)
+    elif dataclasses.is_dataclass(kind):
+        yield value
+        for field in dataclasses.fields(kind):
+            yield from reports_in(getattr(value, field.name))
 
 
 def test_writer_matches_the_encoder_on_the_envelopes_main_builds(capsys, monkeypatch, tmp_path):
-    # the values `main` hands the writer: keyless and keyed tables (filled
-    # and empty), negative ints; the encoder sees each table as its rows
+    # the values `main` hands the writer: report objects with their int
+    # maps, keyed tables (filled and empty), negative ints; the encoder sees
+    # each report as its payload-format JSON value, built test-side
     written = []
     real = cli._dumps
 
@@ -925,33 +1007,63 @@ def test_writer_matches_the_encoder_on_the_envelopes_main_builds(capsys, monkeyp
         ["exotic", "--primes", "3", "3"],
         ["homology", "2", "3", "3", "3", "3"],
         ["sum", str(ch_file), str(ch_file), "--cutoff", "1"],
+        ["orbits", "6", "2", "2", "2"],
+        ["ch", "4", "4", "4", "4"],
     ):
         run(capsys, *argv)
     monkeypatch.undo()
 
-    assert len(written) == 7
+    assert len(written) == 9
     for envelope in written:
         assert real(envelope) == json.dumps(envelope, sort_keys=True, indent=2, default=plain)
     payloads = [envelope["payload"] for envelope in written]
-    tables = [p[key] for p in payloads for key in ("contributions", "iterated_counts") if key in p]
+    found = [item for p in payloads for item in reports_in(p)]
+    tables = [item for item in found if type(item) is cli._Table]
     assert {len(t.rows) > 0 for t in tables} == {True, False}  # filled and empty tables
-    assert any(row[3] < 0 for row in payloads[2]["contributions"].rows)
+    assert any(row[3] < 0 for row in payloads[2].extra["contributions"].rows)
     assert written[0]["input"]["window"] == (0, 12)
-    assert type(payloads[0]["ranks"]["ranks"].rows[0]) is tuple
-    assert payloads[-1]["generator_counts"]["counts"].rows == []
-    # every int map the reports carry is a keyless table, and nothing else is
-    ch = [p for p in payloads if "period_multipliers" in p]
-    int_maps = [p["period_multipliers"] for p in ch] + [p["ranks"]["ranks"] for p in ch]
-    int_maps += [p[key]["counts"] for p in payloads for key in ("generator_counts", "final_counts")
-                 if key in p]
-    assert len(int_maps) == 3 + 3 + 2
-    assert all(type(t) is cli._Table and t.keys is None for t in int_maps)
-    keyless = [t for p in payloads for t in tables_in(p) if t.keys is None]
-    assert sorted(map(id, keyless)) == sorted(map(id, int_maps))
-    # the writer's `%d` templates take every table cell as an int: a bool
-    # there would be written as 1, where JSON needs true
-    cells = [cell for p in payloads for t in tables_in(p) for row in t.rows for cell in row]
+    assert payloads[6]["generator_counts"].counts == {}
+    # every dict a report carries but the left-out graded groups is an int
+    # map, and each is written as its keyless rows
+    int_maps = [(item, field.name) for item in found if type(item) is not cli._Table
+                for field in dataclasses.fields(item)
+                if type(getattr(item, field.name)) is dict and field.name != "full_graded"]
+    assert len(int_maps) == 3 + 3 + 2  # period multipliers, ranks, counts
+    for item, name in int_maps:
+        assert json.loads(real(item))[name] == int_rows(getattr(item, name))
+    # the writer's `%d` templates take every table and int-map cell as an
+    # int: a bool there would be written as 1, where JSON needs true
+    cells = [cell for t in tables for row in t.rows for cell in row]
+    cells += [cell for item, name in int_maps for row in getattr(item, name).items() for cell in row]
     assert {type(cell) for cell in cells} == {int}
+
+
+def test_the_writer_caches_shapes_not_values(capsys, tmp_path):
+    # layouts and templates are keyed by type, keys, width and indent: once
+    # each command shape has been written, new inputs of those shapes add
+    # no cache entry, so nothing one query's values shape outlives its call
+    caches = (cli._dict_layout, cli._layout, cli._row_template)
+    ch_file = tmp_path / "ch.json"
+    ch_file.write_text(run(capsys, "ch", "6", "2", "2", "2", "--window", "0:12")[1])
+
+    def shapes(rng):
+        exponents = [str(rng.randint(2, 9)) for _ in range(rng.randint(4, 8))]
+        lo = rng.randint(-300, 300)
+        yield ["homology", *exponents]
+        yield ["orbits", *exponents]
+        yield ["ch", *exponents, f"--window={lo}:{lo + rng.randint(0, 30)}", "--provenance"]
+        yield ["exotic", "--primes", *rng.sample(["3", "5", "7", "11"], 2), "--copies", "3"]
+        yield ["sum", str(ch_file), str(ch_file), "--cutoff", str(rng.randint(2, 12))]
+
+    rng = random.Random(23)
+    for _ in range(40):
+        for argv in shapes(rng):
+            run(capsys, *argv)
+    sizes = [cache.cache_info().currsize for cache in caches]
+    for _ in range(40):
+        for argv in shapes(rng):
+            run(capsys, *argv)
+    assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
 def test_a_bool_never_reaches_an_int_template():
@@ -973,8 +1085,31 @@ def tables_of(keys, width):
 tables = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True).flatmap(
     lambda keys: tables_of(tuple(keys), len(keys))
 ) | st.integers(1, 4).flatmap(lambda width: tables_of(None, width))
+# Report leaves, built from drawn ints as the commands build them.
+characters = st.builds(
+    IndexCharacter, st.sampled_from(["positive", "negative", "degenerate"]),
+    st.builds(Fraction, st.integers(), st.integers(1, 50)),
+)
+graded_ranks = st.tuples(st.integers(-50, 50), st.integers(0, 8)).flatmap(
+    lambda edges: st.builds(
+        GradedRanks,
+        st.dictionaries(st.integers(edges[0], edges[0] + edges[1]), st.integers(1, 10**6),
+                        max_size=4),
+        st.just((edges[0], edges[0] + edges[1])),
+    )
+)
+orbit_types = st.builds(OrbitType, st.integers(1, 10**6),
+                        st.lists(st.integers(0, 15), max_size=5).map(tuple))
+generator_counts = st.tuples(st.integers(-20, 60), st.integers(3, 9)).flatmap(
+    lambda edges: st.builds(
+        GeneratorCounts,
+        st.dictionaries(st.integers(-40, edges[0]), st.integers(1, 10**6), max_size=4),
+        st.just(edges[0]), st.just(edges[1]),
+    )
+)
+reports = characters | graded_ranks | orbit_types | generator_counts
 json_values = st.recursive(
-    leaves | tables | st.lists(st.integers(), max_size=4).map(tuple),
+    leaves | tables | reports | st.lists(st.integers(), max_size=4).map(tuple),
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=3).map(tuple)

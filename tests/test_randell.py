@@ -201,13 +201,14 @@ def test_torsion_longer_than_the_limit_is_refused_by_its_runs(monkeypatch):
 
 
 def test_negative_kappa_is_refused_wherever_it_is_read(monkeypatch):
-    # With every gcd read as -1, Lambda_m Lambda_x = -Lambda_{-mx}: each
-    # (Lambda_2 - 1) sums to -2, and an odd number of them to a negative kappa
+    # With every gcd read as -1, Lambda_1 Lambda_x = -Lambda_{-x}: r twos
+    # multiply in as s + t Lambda_2 (s = (-1)^r, t = (1 - s) / 2) and sum to
+    # s - t, which is 1 for r = 2 and -2, a negative kappa, for odd r
     broken = type(math)("math")
     broken.__dict__.update(math.__dict__, gcd=lambda *args: -1)
     monkeypatch.setattr(randell, "math", broken)
     a = ExponentVector((2, 2, 2, 2, 2))
-    assert kappa(a, (0, 1)) == 4
+    assert kappa(a, (0, 1)) == 1
     with pytest.raises(HomologyInvariantError, match=r"negative kappa on the support \(0, 1, 2\)"):
         kappa(a, (0, 1, 2))
     with pytest.raises(HomologyInvariantError, match="negative kappa"):
@@ -293,6 +294,28 @@ def test_oracle_equivalence_sampled():
         support = tuple(range(len(a)))
         assert kappa(ev, support) == kappa_oracle(a, support)
         assert torsion(ev) == torsion_oracle(a)
+
+    # Repeated entries, which the divisor product multiplies in once per
+    # distinct value: up to three values x <= 12, each met up to 8 times,
+    # up to 16 exponents.  The torsion oracle walks its kappas one by one,
+    # so it checks only the short vectors whose kappas stay small.
+    repeated = [(2,) * 8 + (12,) * 8, (3,) * 8 + (4,) * 8]
+    while len(repeated) < 24:
+        values = rng.sample(range(2, 13), rng.randint(1, 3))
+        a = tuple(x for x in values for _ in range(rng.randint(1, 8)))
+        if 4 <= len(a) <= (16 if len(repeated) < 4 else 8):
+            repeated.append(a)
+    torsions = 0
+    for a in repeated:
+        ev = ExponentVector(a)
+        support = tuple(sorted(rng.sample(range(len(a)), rng.randint(2, len(a)))))
+        assert kappa(ev, range(len(a))) == kappa_oracle(a, range(len(a))), a
+        assert kappa(ev, support) == kappa_oracle(a, support), (a, support)
+        odd = [S for S in powerset(range(len(a))) if (len(a) - len(S)) % 2]
+        if len(a) <= 8 and max(kappa_oracle(a, S) for S in odd) <= 2000:
+            assert torsion(ev) == torsion_oracle(a), a
+            torsions += 1
+    assert torsions >= 8
 
 
 def test_kappa_closed_form_equal_exponents():

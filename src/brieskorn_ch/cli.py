@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -35,7 +34,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import count
 from json.encoder import encode_basestring_ascii
-from operator import add, attrgetter, itemgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 
 from .connected_sum import (
     GeneratorCounts,
@@ -47,13 +46,8 @@ from .connected_sum import (
     sphere_exponents,
 )
 from .contact import CHReport, DegenerateContactFormError, GradedRanks, ch_report, period_shift
-from .maslov import (
-    classify_index,
-    maslov_crosscheck,
-    maslov_crosscheck_batch,
-    maslov_orbit_space,
-    maslov_orbit_space_batch,
-)
+from .maslov import classify_index, crosscheck_rows
+from .maslov import maslov_crosscheck  # unused, kept for perfbench's tracer
 from .orbits import OrbitType, enumerate_orbit_types
 from .randell import (
     MAX_TORSION_FACTORS,
@@ -341,75 +335,6 @@ def _default_window(a: ExponentVector) -> tuple[int, int]:
     return (2 * shift, 0)
 
 
-def _run_crosscheck(a: ExponentVector, report: CHReport) -> int:
-    # The index depends on (m, N) only, so each distinct pair is checked
-    # once, by both routes in one batch over the whole report; every row's
-    # degree must then sit at that index plus the type's constant shift
-    # (n - 3) - (|J| - 2).  Only the types the rows name are built, once
-    # each: m is a type's time when J = {i : a_i | m} has two or more
-    # indices and lcm(a_J) = m.  Any fault sends the rows through
-    # `_raise_first_fault`, which names the first faulty one.
-    rows = report.rows
-    if not rows:
-        return 0
-    ms, Ns, js, degrees, _ = zip(*rows)
-    types = {m: OrbitType(m=m, J=tuple([i for i, x in enumerate(a) if not m % x]))
-             for m in dict.fromkeys(ms)}
-    timed = all(len(t.J) >= 2 and math.lcm(*(a[i] for i in t.J)) == m for m, t in types.items())
-    offsets = {m: (a.n - 3) - (len(t.J) - 2) for m, t in types.items()}
-    pairs = list(dict.fromkeys(zip(ms, Ns)))
-    pair_ms, pair_Ns = zip(*pairs)
-    pair_types = list(map(types.__getitem__, pair_ms))
-    valid, closed = maslov_orbit_space_batch(a, pair_types, pair_Ns)
-    unitary = maslov_crosscheck_batch(a, pair_types, pair_Ns)
-    bases = dict(zip(pairs, map(add, closed, map(offsets.__getitem__, pair_ms))))
-    if not (timed and all(valid) and closed == unitary
-            and tuple(map(add, map(bases.__getitem__, zip(ms, Ns)), js)) == degrees):
-        _raise_first_fault(a, rows, types, dict(zip(pairs, zip(closed, unitary))))
-    return len(rows)
-
-
-def _raise_first_fault(
-    a: ExponentVector,
-    rows: tuple[tuple[int, int, int, int, int], ...],
-    types: dict[int, OrbitType],
-    batched: dict[tuple[int, int], tuple[int, int]],
-) -> None:
-    """Raise the error of the first faulty row, found by the scalar routes.
-
-    Rows are read in order, each pair's index computed once by
-    `maslov_orbit_space` and `maslov_crosscheck` and compared with the
-    batch's two values (`batched`), so the first fault of the rows or of
-    either route is the one named.
-    """
-    indices: dict[tuple[int, int], int] = {}
-    for m, N, j, degree, _ in rows:
-        t = types[m]
-        index = indices.get((m, N))
-        if index is None:
-            try:  # `maslov_orbit_space` refuses an N whose iterate leaves the type
-                if len(t.J) < 2 or math.lcm(*(a[i] for i in t.J)) != m:
-                    raise ValueError("no orbit type has this return time")
-                index = maslov_orbit_space(a, t, N)
-            except ValueError as exc:
-                raise HomologyInvariantError(
-                    f"row at m={m}, N={N} is not an iterate of an orbit type"
-                ) from exc
-            for indirect in (maslov_crosscheck(a, t, N), *batched[m, N]):
-                if index != indirect:
-                    raise HomologyInvariantError(
-                        f"index mismatch for m={m}, N={N}: {index} != {indirect}"
-                    )
-            indices[m, N] = index
-        scanned = degree - j - (a.n - 3) + (len(t.J) - 2)
-        if scanned != index:
-            raise HomologyInvariantError(
-                f"degree {degree} at m={m}, N={N}, j={j} puts the index at {scanned},"
-                f" both routes give {index}"
-            )
-    raise HomologyInvariantError("the batched validity check rejects a row the scalar one accepts")
-
-
 def _cmd_ch(args):
     a = ExponentVector(tuple(args.exponents))
     if args.window is None:
@@ -422,7 +347,7 @@ def _cmd_ch(args):
 
     diagnostics = []
     if args.crosscheck:
-        checked = _run_crosscheck(a, report)
+        checked = crosscheck_rows(a, report.rows)
         diagnostics.append(f"crosscheck: {checked} contributions verified by both routes")
     if any(degree % 2 for degree in report.ranks.ranks):
         diagnostics.append("odd-degree generators present (an orbit space has odd middle homology)")

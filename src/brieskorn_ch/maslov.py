@@ -11,8 +11,10 @@ Each route also runs over many iterates at once: `maslov_orbit_space_batch`
 gives the validity and closed-formula index of every (type, N) it is
 handed, and `maslov_crosscheck_batch` the unitary-path index, each with one
 C-level `map` per exponent over all the iterates instead of one Python call
-per iterate.  The scalar routes stay the reference the batches are tested
-against.
+per iterate.  `crosscheck_rows` audits a report's rows with one call of
+each batch, and names the first faulty row from the batches' own values.
+The scalar routes are the reference the tests hold the batches to; no
+audit calls them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import and_, attrgetter, floordiv, gt, mod, mul, neg, not_, sub
+from math import lcm
+from operator import add, and_, attrgetter, floordiv, gt, mod, mul, neg, not_, sub
 
 from .orbits import OrbitType, valid_multiplier
-from .randell import ExponentVector
+from .randell import ExponentVector, HomologyInvariantError
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -153,3 +156,43 @@ def maslov_crosscheck_batch(
         for x in a.a
     ]))
     return [u - 2 * t for u, t in zip(turns, totals)]
+
+
+def crosscheck_rows(a: ExponentVector, rows: Sequence[tuple[int, int, int, int, int]]) -> int:
+    """Check the `(m, N, j, degree, count)` rows of a report by both index
+    routes; return how many were checked.
+
+    The index depends on (m, N) only, so each distinct pair goes through
+    each batch once, and each row's degree must be that index plus j and
+    its type's shift (n - 3) - (|J| - 2).  Only the types the rows name are
+    built: m is a type's time when J = {i : a_i | m} has |J| >= 2 and
+    lcm(a_J) = m.  On a fault the rows are walked in order against the
+    batches' own values, and the first faulty one is raised.
+    """
+    if not rows:
+        return 0
+    ms, Ns, js, degrees, _ = zip(*rows)
+    types = {m: OrbitType(m=m, J=tuple([i for i, x in enumerate(a) if not m % x]))
+             for m in dict.fromkeys(ms)}
+    timed = {m: len(t.J) >= 2 and lcm(*(a[i] for i in t.J)) == m for m, t in types.items()}
+    offsets = {m: (a.n - 3) - (len(t.J) - 2) for m, t in types.items()}
+    pairs = list(dict.fromkeys(zip(ms, Ns)))
+    pair_ms, pair_Ns = zip(*pairs)
+    pair_types = list(map(types.__getitem__, pair_ms))
+    valid, closed = maslov_orbit_space_batch(a, pair_types, pair_Ns)
+    unitary = maslov_crosscheck_batch(a, pair_types, pair_Ns)
+    bases = dict(zip(pairs, map(add, closed, map(offsets.__getitem__, pair_ms))))
+    if (all(timed.values()) and all(valid) and closed == unitary
+            and tuple(map(add, map(bases.__getitem__, zip(ms, Ns)), js)) == degrees):
+        return len(rows)
+    batched = dict(zip(pairs, zip(valid, closed, unitary)))
+    for m, N, j, degree, _ in rows:
+        ok, index, indirect = batched[m, N]
+        if not (timed[m] and ok):
+            raise HomologyInvariantError(f"row at m={m}, N={N} is not an iterate of an orbit type")
+        if index != indirect:
+            raise HomologyInvariantError(f"index mismatch for m={m}, N={N}: {index} != {indirect}")
+        if (scanned := degree - j - offsets[m]) != index:
+            raise HomologyInvariantError(f"degree {degree} at m={m}, N={N}, j={j} puts the index"
+                                         f" at {scanned}, both routes give {index}")
+    raise AssertionError("the batched check failed on rows the walk passes")

@@ -59,8 +59,10 @@ MAX_TORSION_FACTORS = 10**6
 class HomologyInvariantError(RuntimeError):
     """An internal invariant failed.
 
-    A kappa came out negative, the torsion orders failed to divide one
-    another, or the two routes to a Maslov index disagreed.
+    A kappa came out negative, or the torsion orders failed to divide one
+    another; or, in `maslov.crosscheck_rows`, a report row lies at no
+    orbit type's time or at an invalid multiplier, the two routes to its
+    Maslov index disagree, or its degree is off that index.
     """
 
 

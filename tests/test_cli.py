@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brieskorn_ch import cli
+from brieskorn_ch import cli, maslov
 from brieskorn_ch.cli import main
 from brieskorn_ch.connected_sum import GeneratorCounts, SpecialSphereVerdict
 from brieskorn_ch.contact import CHReport, GradedRanks
@@ -475,27 +475,28 @@ def test_homology_invariant_failure_exits_5(capsys, monkeypatch):
 
 
 def test_crosscheck_mismatch_exits_5(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "maslov_crosscheck_batch", lambda a, types, Ns: [-999] * len(Ns))
+    monkeypatch.setattr(maslov, "maslov_crosscheck_batch", lambda a, types, Ns: [-999] * len(Ns))
     code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--crosscheck")
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal invariant failed: index mismatch")
 
 
-def test_crosscheck_exits_5_when_the_batched_validity_contradicts_the_scalar_one(
+def test_crosscheck_exits_5_naming_the_first_row_the_batched_validity_rejects(
     capsys, monkeypatch
 ):
-    # every row passes the scalar routes, so no row is named
-    original = cli.maslov_orbit_space_batch
+    # the batch is the one route to validity: every pair rejected, and the
+    # first row of the report is the one named
+    original = maslov.maslov_orbit_space_batch
 
     def all_invalid(a, types, Ns):
         return [False] * len(Ns), original(a, types, Ns)[1]
 
-    monkeypatch.setattr(cli, "maslov_orbit_space_batch", all_invalid)
+    monkeypatch.setattr(maslov, "maslov_orbit_space_batch", all_invalid)
     code, out, err = run(capsys, "ch", "6", "2", "2", "2", "--crosscheck")
     assert (code, out) == (5, "")
-    assert err == ("error: internal invariant failed: the batched validity check rejects"
-                   " a row the scalar one accepts\n")
+    assert err == ("error: internal invariant failed: row at m=2, N=1"
+                   " is not an iterate of an orbit type\n")
 
 
 def test_more_than_sixteen_exponents_are_refused(capsys):
@@ -596,9 +597,9 @@ def test_sum_cutoff_trims_the_inputs_before_they_are_combined(capsys, monkeypatc
 
 def test_crosscheck_checks_each_index_once(capsys, monkeypatch):
     # the index depends on (m, N) only: 10 contributions, 5 distinct pairs,
-    # handed to the batched route once; the scalar routes run only on a fault
+    # handed to the batched route once; no scalar route runs
     calls = []
-    original = cli.maslov_crosscheck_batch
+    original = maslov.maslov_crosscheck_batch
 
     def counting(a, types, Ns):
         calls.extend((t.m, N) for t, N in zip(types, Ns))
@@ -607,9 +608,9 @@ def test_crosscheck_checks_each_index_once(capsys, monkeypatch):
     def refuse(a, t, N):
         raise AssertionError("a scalar route ran on a clean report")
 
-    monkeypatch.setattr(cli, "maslov_crosscheck_batch", counting)
-    monkeypatch.setattr(cli, "maslov_crosscheck", refuse)
-    monkeypatch.setattr(cli, "maslov_orbit_space", refuse)
+    monkeypatch.setattr(maslov, "maslov_crosscheck_batch", counting)
+    monkeypatch.setattr(maslov, "maslov_crosscheck", refuse)
+    monkeypatch.setattr(maslov, "maslov_orbit_space", refuse)
     code, envelope, err = run_json(
         capsys, "ch", "6", "2", "2", "2", "--window", "0:12", "--provenance", "--crosscheck"
     )
@@ -639,14 +640,14 @@ def test_crosscheck_checks_the_rows_the_scan_wrote(capsys, monkeypatch, row, fau
     from dataclasses import replace
 
     if row is None:
-        original = cli.maslov_crosscheck_batch
+        original = maslov.maslov_crosscheck_batch
 
         def corrupted(a, types, Ns):
             indices = original(a, types, Ns)
             indices[-1] += 1
             return indices
 
-        monkeypatch.setattr(cli, "maslov_crosscheck_batch", corrupted)
+        monkeypatch.setattr(maslov, "maslov_crosscheck_batch", corrupted)
     else:
         real = cli.ch_report
         monkeypatch.setattr(

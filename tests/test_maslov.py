@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from brieskorn_ch import maslov, orbits
+from brieskorn_ch.contact import ch_report, period_shift
 from brieskorn_ch.exact import lcm_set
 from brieskorn_ch.maslov import (
     classify_index,
+    crosscheck_rows,
     maslov_crosscheck,
     maslov_crosscheck_batch,
     maslov_orbit_space,
@@ -13,7 +16,7 @@ from brieskorn_ch.maslov import (
     maslov_unitary,
 )
 from brieskorn_ch.orbits import enumerate_orbit_types, valid_multiplier
-from brieskorn_ch.randell import ExponentVector
+from brieskorn_ch.randell import ExponentVector, HomologyInvariantError
 
 
 def type_with_m(a, m):
@@ -141,6 +144,44 @@ def test_batched_routes_equal_the_scalar_routes():
                 assert absorbed > 0 and indirect == index - absorbed
         checked += len(Ns)
     assert checked > 10_000
+
+
+def test_crosscheck_rows_reads_the_batches_alone(monkeypatch):
+    # seeded reports of both characters pass whole, and injected rows fail
+    # at their first fault (the faults `ch --crosscheck` names on 6 2 2 2),
+    # with every scalar route refusing to run
+    rng = random.Random(2401)
+    reports = {}
+    while len(reports) < 60:
+        ev = ExponentVector(tuple(rng.randint(2, 9) for _ in range(rng.randint(4, 6))))
+        shift = period_shift(ev)
+        if ev.reciprocal_sum() != 1 and (shift > 0) == (len(reports) % 2 == 0):
+            lo = rng.randint(0, 3) * shift
+            reports[ev] = ch_report(ev, (min(lo, lo + 2 * shift), max(lo, lo + 2 * shift)))
+
+    def refuse(*args):
+        raise AssertionError("a scalar route ran")
+
+    for module, name in [(orbits, "valid_multiplier"), (maslov, "valid_multiplier"),
+                         (maslov, "maslov_orbit_space"), (maslov, "maslov_crosscheck"),
+                         (maslov, "_index_formula")]:
+        monkeypatch.setattr(module, name, refuse)
+    checked = [crosscheck_rows(ev, report.rows) for ev, report in reports.items()]
+    assert checked == [len(report.rows) for report in reports.values()]
+    assert sum(checked) > 10_000
+    a = ExponentVector((6, 2, 2, 2))
+    for rows, fault in [
+        (((2, 1, 0, 4, 1), (2, 3, 0, 8, 1)),
+         "degree 4 at m=2, N=1, j=0 puts the index at 5, both routes give 3"),
+        (((2, 3, 0, 8, 1), (2, 1, 0, 4, 1)), "row at m=2, N=3 is not an iterate of an orbit type"),
+        (((2, 1, 0, 2, 1), (6, 1, 2, 10, 2), (2, 2, 0, 6, 1)),
+         "degree 10 at m=6, N=1, j=2 puts the index at 10, both routes give 8"),
+        (((2, 1, 0, 2, 1), (4, 1, 0, 4, 1)), "row at m=4, N=1 is not an iterate of an orbit type"),
+    ]:
+        with pytest.raises(HomologyInvariantError) as caught:
+            crosscheck_rows(a, rows)
+        assert str(caught.value) == fault
+    assert crosscheck_rows(a, ()) == 0
 
 
 def test_index_parity_matches_complement_size():

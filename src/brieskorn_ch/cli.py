@@ -21,6 +21,16 @@ cached per report type and indent.  Exit codes:
 
 Window syntax is LO:HI, inclusive on both ends; use --window=-30:0 for
 negative lower edges so the shell token is not read as a flag.
+
+Arguments are read in one left-to-right pass off one table of options per
+subcommand, the table argparse's parsers are built from.  The pass takes
+the subcommand name first, its positionals as one contiguous run (exponents
+in decimal digits) and each option at most once, spelled in full as
+--name value or --name=value, a value in a token of its own never starting
+with "-".  Every other spelling (-h, an abbreviation, "--", a repeated
+option, an unknown name, a missing --primes, a value its converter refuses,
+an option before the subcommand) goes to argparse, which reads it to the
+same namespace or refuses it with its usage message.
 """
 
 from __future__ import annotations
@@ -476,51 +486,149 @@ def _cmd_exotic(args):
     return payload, diagnostics, EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# arguments: one table, built into argparse by `_build_parser` and read in
+# one pass by `_read_args`
+
+_FLAG = {"action": "store_true"}  # an option that takes no value
+_RUN = {"nargs": "+", "type": int}  # the exponents, or the primes after the required --primes
+_WINDOW = {"--window": ("window", _parse_window, None, None)}
+_FORMAT = {"--format": ("format", ("json", "text"), "json", "output format")}
+_EXPONENTS = ("exponents", _RUN, None)
+
+# name -> (function, help, positional run (dest, converter, help) or None,
+# options {name: (dest, converter, default, help)}).  A converter is `int`,
+# `_parse_window`, a tuple of choices, `_FLAG`, `_RUN` or (file names) `str`.
+_COMMANDS = {
+    "homology": (_cmd_homology, "integral homology of the manifold", _EXPONENTS, _FORMAT),
+    "orbits": (_cmd_orbits, "orbit types and index character", _EXPONENTS, _FORMAT),
+    "ch": (_cmd_ch, "contact homology generator counts", _EXPONENTS, {
+        **_WINDOW,
+        "--provenance": ("provenance", _FLAG, False, "include contributions"),
+        "--crosscheck": ("crosscheck", _FLAG, False,
+                         "verify each distinct index by the independent unitary-path route"),
+        **_FORMAT}),
+    "sum": (_cmd_sum, "connected-sum generator counting",
+            ("files", str, "JSON envelopes from ch or sum"),
+            {"--beta-n": ("beta_n", int, None, None), "--cutoff": ("cutoff", int, None, None),
+             **_FORMAT}),
+    "exotic": (_cmd_exotic, "special sphere and iterated sums", None, {
+        "--primes": ("primes", _RUN, None, None), "--copies": ("copies", int, 1, None),
+        **_WINDOW, **_FORMAT}),
+}
+
+
 @cache  # parsing leaves the parsers as they were, so one set serves every call
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The full parser, and each subcommand's own parser by name."""
+    """The full parser, and each subcommand's own parser by name, from `_COMMANDS`."""
     parser = _Parser(prog="brieskorn-ch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("homology", _cmd_homology, "integral homology of the manifold"),
-        ("orbits", _cmd_orbits, "orbit types and index character"),
-        ("ch", _cmd_ch, "contact homology generator counts"),
-        ("sum", _cmd_sum, "connected-sum generator counting"),
-        ("exotic", _cmd_exotic, "special sphere and iterated sums"),
-    )
-    p = {name: sub.add_parser(name, help=help_text) for name, _, help_text in commands}
-    for name in ("homology", "orbits", "ch"):
-        p[name].add_argument("exponents", nargs="+", type=int)
-    p["ch"].add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
-    p["ch"].add_argument("--provenance", action="store_true", help="include contributions")
-    p["ch"].add_argument("--crosscheck", action="store_true",
-                         help="verify each distinct index by the independent unitary-path route")
-    p["sum"].add_argument("files", nargs="+", help="JSON envelopes from ch or sum")
-    p["sum"].add_argument("--beta-n", type=int, default=None, dest="beta_n")
-    p["sum"].add_argument("--cutoff", type=int, default=None)
-    p["exotic"].add_argument("--primes", nargs="+", type=int, required=True)
-    p["exotic"].add_argument("--copies", type=int, default=1)
-    p["exotic"].add_argument("--window", type=_parse_window, default=None, metavar="LO:HI")
-    for name, func, _ in commands:
-        p[name].add_argument("--format", choices=("json", "text"), default="json",
-                             help="output format")
-        p[name].set_defaults(func=func)
-    return parser, p
+    commands = {}
+    for name, (func, help_text, positional, options) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=help_text)
+        if positional is not None:
+            dest, convert, help_text = positional
+            p.add_argument(dest, help=help_text, **_RUN if convert is _RUN else {"nargs": "+"})
+        for option, (dest, convert, default, help_text) in options.items():
+            kind = (convert if type(convert) is dict else {"choices": convert}
+                    if type(convert) is tuple else
+                    {"type": convert, "metavar": "LO:HI" if convert is _parse_window else None})
+            p.add_argument(option, dest=dest, default=default, required=convert is _RUN,
+                           help=help_text, **kind)
+        p.set_defaults(func=func)
+    return parser, commands
+
+
+def _converted(convert, words: list[str]):
+    """What argparse makes of an option's or a positional run's words;
+    ValueError or `argparse.ArgumentTypeError` where it refuses them, or
+    where `_read_args` declines them (a run of other than decimals)."""
+    if convert is _RUN:
+        if not all(map(str.isdecimal, words)):
+            raise ValueError("not a run of decimals")
+        return list(map(int, words))
+    if convert is str:
+        return words
+    if type(convert) is tuple:
+        if words[0] not in convert:
+            raise ValueError("not a choice")
+        return words[0]
+    return convert(words[0])
+
+
+def _run_end(argv: list[str], i: int) -> int:
+    """The end of the run of values from argv[i]: tokens not starting with "-"."""
+    while i < len(argv) and argv[i][:1] != "-":
+        i += 1
+    return i
+
+
+def _read_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives `argv`, read in one pass off `_COMMANDS`,
+    or None for a spelling the pass leaves to argparse (the module docstring
+    lists both kinds)."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    func, _, positional, options = spec
+    values = {}  # dest -> value, for what argv gives; a dest given twice is declined
+    i = 1
+    try:
+        while i < len(argv):
+            token = argv[i]
+            if token[:1] != "-":  # the positional run, up to the next option
+                if positional is None or positional[0] in values:
+                    return None
+                start, i = i, _run_end(argv, i)
+                values[positional[0]] = _converted(positional[1], argv[start:i])
+                continue
+            name, eq, value = token.partition("=")
+            if name not in options or options[name][0] in values:
+                return None
+            dest, convert, _, _ = options[name]
+            i += 1
+            if convert is _FLAG:
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            if eq:
+                words = [value]
+            else:  # the next token, or the run of them after --primes
+                words = argv[i:_run_end(argv, i)]
+                if convert is not _RUN:
+                    words = words[:1]
+                if not words:
+                    return None
+                i += len(words)
+            values[dest] = _converted(convert, words)
+    except (ValueError, argparse.ArgumentTypeError):
+        return None
+    if positional is not None and positional[0] not in values:
+        return None
+    for dest, convert, default, _ in options.values():
+        if dest not in values:
+            if convert is _RUN:  # --primes is required
+                return None
+            values[dest] = default
+    return argparse.Namespace(command=argv[0], **values, func=func)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _build_parser()
     try:
-        # A leading subcommand name hands the rest straight to its parser,
-        # which the full parser would reach with the same arguments; no
-        # argument, -h, an unknown name or a leading option take the full one.
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args = _read_args(argv)
+        if args is None:
+            # A leading subcommand name hands the rest straight to its parser,
+            # which the full parser would reach with the same arguments; no
+            # argument, -h, an unknown name or a leading option take the full one.
+            parser, commands = _build_parser()
+            command = commands.get(argv[0]) if argv else None
+            if command is None:
+                args = parser.parse_args(argv)
+            else:
+                args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         payload, diagnostics, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,12 @@ Usage, from the root of a checkout:
 
 Every query of the given seeds of all three workloads of
 `perfbench/queries.py` is run in process through `brieskorn_ch.cli.main`,
-once as written and once with `--format text`, and so is `orbits` on the
-exponents of every `homology` and `ch` query (no workload runs `orbits`,
-whose list of orbit types is the longest the writer walks).  Each run
-prints one line,
+once as written, once with `--format text`, and once with `--format json`
+and every long option cut to a prefix argparse takes (`--w`, `--p`, `--c`,
+`--f`), a spelling the CLI's one-pass argument read leaves to argparse;
+and so is `orbits` on the exponents of every `homology` and `ch` query (no
+workload runs `orbits`, whose list of orbit types is the longest the
+writer walks).  Each run prints one line,
 `<workload> <seed> <sha256> <argv>`.  Diff the output of two checkouts to
 see that a change keeps every byte the tool writes.  The `sum` inputs are
 written by the tool itself into a temporary directory, so nothing lands in
@@ -38,6 +40,20 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# the shortest prefix of each long option that no other option of its subcommand shares
+PREFIXES = {"--window": "--w", "--provenance": "--p", "--crosscheck": "--c", "--beta-n": "--b",
+            "--cutoff": "--c", "--primes": "--p", "--copies": "--c", "--format": "--f"}
+
+
+def abbreviated(argv: list[str]) -> list[str]:
+    """`argv` with every long option, also one joined to its value by "=", cut to its prefix."""
+    cut = []
+    for token in argv:
+        name, eq, value = token.partition("=")
+        cut.append(PREFIXES.get(name, name) + eq + value if name.startswith("--") else token)
+    return cut
+
+
 def digest(argv: list[str]) -> str:
     code, out, err = run(argv)
     return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
@@ -61,7 +77,8 @@ def main_digest(spec: str) -> None:
                         if query.command in ("homology", "ch"):
                             runs.append(["orbits", *map(str, query.exponents)])
                         for argv in runs:
-                            for variant in (argv, [*argv, "--format", "text"]):
+                            for variant in (argv, [*argv, "--format", "text"],
+                                            abbreviated([*argv, "--format", "json"])):
                                 print(workload, seed, digest(variant), " ".join(variant))
         finally:
             os.chdir(here)

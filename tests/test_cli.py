@@ -1,15 +1,18 @@
+import argparse
 import dataclasses
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brieskorn_ch import cli, maslov
-from brieskorn_ch.cli import main
+from brieskorn_ch.cli import EXIT_USAGE, main
 from brieskorn_ch.connected_sum import GeneratorCounts, SpecialSphereVerdict
 from brieskorn_ch.contact import CHReport, GradedRanks
 from brieskorn_ch.maslov import IndexCharacter
@@ -829,6 +832,14 @@ SUBCOMMAND_CASES = [
     ["exotic", "--help"],
     ["sum"],
     ["sum", "no-such-file.json", "--cut", "3"],
+    # spellings at the edge of the one-pass read (`cli._read_args`)
+    ["ch", "6", "2", "2", "2", "--window", "0:12", "--window", "0:20"],
+    ["ch", "6", "--window", "0:12", "2", "2", "2"],
+    ["exotic", "--primes", "3", "5", "--copies", "2", "7"],
+    ["ch", "6", "2", "2", "2", "--provenance=1"],
+    ["homology", "4", "2", "2", "2", "--format=text"],
+    ["homology", "٤", "2", "2", "2"],  # ARABIC-INDIC FOUR: decimal, int reads it
+    ["homology", "²", "2", "2", "2"],  # SUPERSCRIPT TWO: a digit, not decimal; int refuses it
 ]
 # no subcommand name first: the full parser reads these on either route
 FULL_PARSER_CASES = [
@@ -847,8 +858,9 @@ def replay(capsys, argv):
 
 
 def test_a_leading_subcommand_skips_the_full_parser_with_the_same_bytes(capsys, monkeypatch):
-    # the one-hop route hands argv[1:] to the subcommand's parser; without
-    # the subcommand table every argv takes the full parser, as it always did
+    # the one-hop route reads argv in one pass or hands argv[1:] to the
+    # subcommand's parser; without the one-pass read and the subcommand
+    # table every argv takes the full parser, as it always did
     parser, _ = cli._build_parser()
     cases = SUBCOMMAND_CASES + FULL_PARSER_CASES
 
@@ -860,6 +872,7 @@ def test_a_leading_subcommand_skips_the_full_parser_with_the_same_bytes(capsys, 
     monkeypatch.undo()
     one_hop += [replay(capsys, argv) for argv in FULL_PARSER_CASES]
     monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    monkeypatch.setattr(cli, "_read_args", lambda argv: None)
     assert [replay(capsys, argv) for argv in cases] == one_hop
     codes = [code for code, _, _ in one_hop]
     assert codes.count(1) >= 12 and set(codes) == {0, 1, 2, 4}
@@ -867,6 +880,89 @@ def test_a_leading_subcommand_skips_the_full_parser_with_the_same_bytes(capsys, 
     assert [out.partition(" [")[0] for out in helps] == [
         "usage: brieskorn-ch ch", "usage: brieskorn-ch exotic", "usage: brieskorn-ch"
     ]
+
+
+def argparse_args(argv):
+    """The namespace the subcommand's own parser gives `argv`."""
+    _, commands = cli._build_parser()
+    return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+# every option in full, abbreviated and with a value after "="; values
+# int, argparse or the read alone would refuse; tokens argparse alone reads
+OPTIONS = sorted({option for *_, options in cli._COMMANDS.values() for option in options})
+ABBREVIATED = ["--w", "--win", "--prov", "--p", "--pr", "--cross", "--c", "--cop", "--cut",
+               "--beta", "--f", "--fo"]
+DECIMALS = ["2", "3", "5", "6", "007", "٣"]
+VALUES = [*DECIMALS, "²", "+5", "-3", "1_0", " 4", "", "0:12", "-30:0", "5:3", "a:b",
+          "json", "text", "xml", "a.json", "-"]
+TOKENS = [*VALUES, *OPTIONS, *ABBREVIATED, "--", "-h", "--help", "--bogus"]
+decimal_runs = st.lists(st.sampled_from(DECIMALS), min_size=1, max_size=4)
+
+
+def pooled_argv(command):
+    """`command`, then pieces of argv from the pools, its own options drawn
+    most, and its positionals (the --primes run of `exotic`) in one place or none."""
+    lead = decimal_runs if command != "exotic" else decimal_runs.map(lambda run: ["--primes", *run])
+    option = st.sampled_from(sorted(cli._COMMANDS[command][3])) | st.sampled_from(
+        OPTIONS + ABBREVIATED)
+    pairs = st.tuples(option, st.sampled_from(VALUES))
+    piece = st.one_of(
+        decimal_runs,
+        st.tuples(option, decimal_runs).map(lambda pair: [pair[0], *pair[1]]),
+        pairs.map(list),
+        pairs.map(lambda pair: ["=".join(pair)]),
+        st.sampled_from(TOKENS).map(lambda token: [token]),
+    )
+    pieces = st.lists(piece, max_size=2)
+    return st.tuples(pieces, lead | st.just([]), pieces).map(
+        lambda parts: [command, *(token for tokens in [*parts[0], parts[1], *parts[2]]
+                                  for token in tokens)])
+
+
+def test_the_one_pass_read_gives_argparse_namespace_or_declines():
+    # on any argv drawn from the pool: either None, or the namespace the
+    # subcommand's parser gives (which must then parse it, not refuse it)
+    reads = Counter()
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(*map(pooled_argv, sorted(cli._COMMANDS))))
+    def check(argv):
+        args = cli._read_args(argv)
+        if args is not None:
+            reads[argv[0]] += 1
+            assert vars(args) == vars(argparse_args(argv))
+
+    check()
+    assert set(reads) == set(cli._COMMANDS) and min(reads.values()) >= 25, reads
+
+
+def test_every_benchmark_argv_takes_the_one_pass_read(capsys, monkeypatch, tmp_path):
+    # seeds 1-3 of all three workloads and the `sum` inputs they read: each
+    # argv is read with argparse's namespace, and `main` never calls argparse
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from queries import WORKLOADS, generate, sum_pool
+
+    argvs = [list(query.argv) for seed in (1, 2, 3)
+             for query in [q for _, q, _ in sum_pool(seed)] + [
+                 q for workload in WORKLOADS for q in generate(workload, seed)]]
+    for argv in argvs:
+        assert vars(cli._read_args(argv)) == vars(argparse_args(argv)), argv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was called")
+
+    parser, commands = cli._build_parser()
+    for p in (parser, *commands.values()):
+        monkeypatch.setattr(p, "parse_args", refuse)
+    monkeypatch.chdir(tmp_path)
+    for seed in (1, 2, 3):
+        for _, query, path in sum_pool(seed):
+            _, out, _ = run(capsys, *query.argv)
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            Path(path).write_text(out, encoding="utf-8")
+    codes = Counter(run(capsys, *argv)[0] for argv in argvs)
+    assert EXIT_USAGE not in codes and len(argvs) > 600, codes
 
 
 def test_main_reads_the_process_arguments_when_given_none(capsys, monkeypatch):

@@ -240,6 +240,36 @@ def test_full_homology_examples():
     assert rep.full_graded == {0: (1, ()), 5: (1, ())}
 
 
+def brieskorn_graph_sphere(a) -> bool:
+    """Brieskorn's graph criterion (Invent. Math. 2, 1966): join a_i and a_j
+    when gcd(a_i, a_j) > 1; the link is a homology sphere exactly when two
+    exponents are isolated, or one is and some component has an odd number
+    of exponents whose pairwise gcds are all 2."""
+    k = len(a)
+    components = []  # index sets of the components of the gcd > 1 graph
+    for i in range(k):
+        touching = [c for c in components if any(math.gcd(a[i], a[j]) > 1 for j in c)]
+        merged = {i}.union(*touching)
+        components = [c for c in components if c not in touching] + [merged]
+    isolated = sum(len(c) == 1 for c in components)
+    return isolated >= 2 or isolated == 1 and any(
+        len(c) % 2 == 1 and all(math.gcd(a[i], a[j]) == 2 for i, j in itertools.combinations(c, 2))
+        for c in components if len(c) > 1
+    )
+
+
+def test_homotopy_sphere_follows_brieskorn_graph_criterion():
+    # every exponent vector with 4 to 6 entries from 2 to 12 (n >= 3, so a
+    # homology sphere is simply connected and a homotopy sphere)
+    spheres = 0
+    for k in (4, 5, 6):
+        for a in itertools.combinations_with_replacement(range(2, 13), k):
+            expected = brieskorn_graph_sphere(a)
+            assert full_homology(ExponentVector(a)).homotopy_sphere == expected, a
+            spheres += expected
+    assert spheres == 2673
+
+
 def test_full_homology_carries_torsion_without_free_part():
     rep = full_homology(ExponentVector((2, 2, 2, 2, 2)))
     assert rep.middle_rank == 0

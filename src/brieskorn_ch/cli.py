@@ -35,37 +35,50 @@ same namespace or refuses it with its usage message.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cache, reduce
+from importlib import import_module
 from itertools import count
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter, methodcaller
+from types import SimpleNamespace
 
-from .connected_sum import (
-    GeneratorCounts,
-    SpecialSphereVerdict,
-    beta,
-    combine,
-    iterated_sphere_sum,
-    special_sphere_check,
-    sphere_exponents,
-)
-from .contact import CHReport, DegenerateContactFormError, GradedRanks, ch_report, period_shift
-from .maslov import classify_index, crosscheck_rows
-from .maslov import maslov_crosscheck  # unused, kept for perfbench's tracer
-from .orbits import OrbitType, enumerate_orbit_types
-from .randell import (
-    MAX_TORSION_FACTORS,
-    ExponentVector,
-    HomologyInvariantError,
-    HomologyReport,
-    full_homology,
-)
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii
+
+# The names this module reads from the pipeline, by the module that defines
+# them.  None is imported with this module: each is read on first use through
+# `__getattr__` (PEP 562), and `main` binds the names of a command (`_READS`)
+# before the command runs, so a command loads only the stages it reads.
+_LAZY = {name: module for module, names in {
+    f"{__package__}.randell": ("ExponentVector", "HomologyInvariantError", "HomologyReport",
+                               "MAX_TORSION_FACTORS", "full_homology"),
+    f"{__package__}.orbits": ("OrbitType", "enumerate_orbit_types"),
+    f"{__package__}.maslov": ("classify_index", "crosscheck_rows",
+                              "maslov_crosscheck"),  # not called, kept for perfbench's tracer
+    f"{__package__}.contact": ("CHReport", "DegenerateContactFormError", "GradedRanks", "ch_report",
+                               "period_shift"),
+    f"{__package__}.connected_sum": ("GeneratorCounts", "SpecialSphereVerdict", "beta", "combine",
+                                     "iterated_sphere_sum", "special_sphere_check",
+                                     "sphere_exponents"),
+    "fractions": ("Fraction",),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # bound here, so later reads of the name skip this function
+    return globals().setdefault(name, getattr(import_module(_LAZY[name]), name))
+
+
+def _loaded(name: str):
+    """The object `name` of `_LAZY` names, or None while its module is not
+    imported: no value can be of a type whose module has not run."""
+    return getattr(sys.modules.get(_LAZY[name]), name, None)
+
 
 SCHEMA_VERSION = "1"
 
@@ -77,53 +90,56 @@ EXIT_SPHERE_CHECK = 4
 EXIT_INVARIANT = 5
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage by default; 2 is taken by the
-    # degenerate gate, so usage problems are rerouted to exit 1, the exit
-    # of every ValueError that reaches `main`.
-    def error(self, message):
-        raise ValueError(message)
-
-
 def _parse_window(text: str) -> tuple[int, int]:
     lo_str, sep, hi_str = text.partition(":")
     if not sep:
-        raise argparse.ArgumentTypeError("window must look like LO:HI")
+        raise ValueError("window must look like LO:HI")
     try:
         lo, hi = int(lo_str), int(hi_str)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError("window bounds must be integers") from exc
+        raise ValueError("window bounds must be integers") from exc
     if lo > hi:
-        raise argparse.ArgumentTypeError("window must satisfy LO <= HI")
+        raise ValueError("window must satisfy LO <= HI")
     return lo, hi
 
 
 # ---------------------------------------------------------------------------
 # report objects -> JSON text
 
-# A report's keys that are not its fields: (fields left out, derived keys,
-# each read by an attribute name or a function of the report).
+# The types written as another JSON value, by their name in `_LAZY`: an
+# exponent vector as its exponents, a fraction as its string.
+_WRITTEN_AS = {"ExponentVector": attrgetter("a"), "Fraction": str}
+
+# A report's keys that are not its fields, by the name of its type in
+# `_LAZY`: (fields left out, derived keys, each read by an attribute name or
+# a function of the report).
 _OVERRIDES = {
-    HomologyReport: (("full_graded",), {"graded": lambda r: [
+    "HomologyReport": (("full_graded",), {"graded": lambda r: [
         {"degree": degree, "rank": rank, "torsion": tors}
         for degree, (rank, tors) in sorted(r.full_graded.items())
     ]}),
-    OrbitType: (("J",), {"support": "J", "orbit_space_dim": "orbit_space_dim"}),
-    SpecialSphereVerdict: ((), {"passed": "passed",
-                                "failing_clauses": methodcaller("failing_clauses")}),
+    "OrbitType": (("J",), {"support": "J", "orbit_space_dim": "orbit_space_dim"}),
+    "SpecialSphereVerdict": ((), {"passed": "passed",
+                                  "failing_clauses": methodcaller("failing_clauses")}),
     # Rows are written only when asked for (`ch --provenance`): there can be thousands.
-    CHReport: (("rows",), {}),
+    "CHReport": (("rows",), {}),
 }
 
 
-@dataclass(frozen=True)
+def _by_type(table: dict) -> dict:
+    """`table` keyed by the types its names stand for, those already defined."""
+    return {kind: entry for name, entry in table.items() if (kind := _loaded(name)) is not None}
+
+
 class _Merged:
     """A report written with more keys beside its own."""
-    report: object
-    extra: dict
+
+    __slots__ = ("report", "extra")
+
+    def __init__(self, report, extra: dict):
+        self.report, self.extra = report, extra
 
 
-@dataclass(frozen=True)
 class _Table:
     """Int rows, written as a list of arrays (`keys` None) or of {key: cell} objects.
 
@@ -131,8 +147,11 @@ class _Table:
     is built.  The rows of a keyless table share one width.
     """
 
-    keys: tuple[str, ...] | None
-    rows: tuple[tuple[int, ...], ...] | list[tuple[int, ...]]
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: tuple[str, ...] | None,
+                 rows: tuple[tuple[int, ...], ...] | list[tuple[int, ...]]):
+        self.keys, self.rows = keys, rows
 
 
 _INT = {int}  # the item types of an array of exact ints
@@ -150,10 +169,16 @@ def _dict_layout(keys: tuple[str, ...], pad: str) -> tuple[tuple[str, ...], str]
 
 
 @cache
-def _layout(kind: type, extra: tuple[str, ...], pad: str) -> tuple[str, Callable]:
+def _layout(kind: type, extra: tuple[str, ...], pad: str) -> tuple[str | None, Callable]:
     """A report of type `kind`, or a `_Merged` of one with the `extra` keys: its template, keys
-    sorted, and one function reading their values (one `attrgetter` where all are attributes)."""
-    left_out, derived = _OVERRIDES.get(kind, ((), {}))
+    sorted, and one function reading their values (one `attrgetter` where all are attributes).
+    A type of `_WRITTEN_AS` gets no template and its function."""
+    from dataclasses import fields  # loaded with the first report type
+
+    written_as = _by_type(_WRITTEN_AS).get(kind)
+    if written_as is not None:
+        return None, written_as
+    left_out, derived = _by_type(_OVERRIDES).get(kind, ((), {}))
     sources = {f.name: f.name for f in fields(kind) if f.name not in left_out}
     sources.update(derived)
     keys, template = _dict_layout((*sources, *extra), pad)
@@ -217,8 +242,8 @@ def _dumps(value, pad: str = "\n") -> str:
     `pad` is the newline and indent the closing bracket sits on.  A report
     is written through its type's `_layout`, a dict through the template
     of its keys; an `ExponentVector` is its exponents, a `Fraction` its
-    string.  The standard library's indented encoder is pure Python and
-    takes twice as long on large envelopes.
+    string (`_WRITTEN_AS`).  The standard library's indented encoder is
+    pure Python and takes twice as long on large envelopes.
     """
     kind = type(value)
     if kind is str:
@@ -230,8 +255,6 @@ def _dumps(value, pad: str = "\n") -> str:
             return "{}"
         keys, template = _dict_layout(tuple(value), pad)
         return _members(template, map(value.__getitem__, keys), pad, False)
-    if kind is ExponentVector:
-        value, kind = value.a, tuple
     if kind is list or kind is tuple:
         if not value:
             return "[]"
@@ -245,12 +268,12 @@ def _dumps(value, pad: str = "\n") -> str:
         return _table(value.keys, value.rows, pad)
     if kind is bool or value is None:
         return _LITERALS[value]
-    if kind is Fraction:
-        return encode_basestring_ascii(str(value))
     if kind is _Merged:
         template, values = _layout(type(value.report), tuple(value.extra), pad)
     else:
         template, values = _layout(kind, (), pad)
+        if template is None:
+            return _dumps(values(value), pad)
     return _members(template, values(value), pad, True)
 
 
@@ -423,6 +446,8 @@ def _counts_from_envelope(obj: dict) -> GeneratorCounts:
 
 
 def _cmd_sum(args):
+    import json  # the one command that reads JSON
+
     counts_list = []
     for path in args.files:
         # The one place that names the file, for every fault of reading or checking it.
@@ -488,7 +513,7 @@ def _cmd_exotic(args):
 
 # ---------------------------------------------------------------------------
 # arguments: one table, built into argparse by `_build_parser` and read in
-# one pass by `_read_args`
+# one pass by `_read_args`; argparse is imported only where that pass declines
 
 _FLAG = {"action": "store_true"}  # an option that takes no value
 _RUN = {"nargs": "+", "type": int}  # the exponents, or the primes after the required --primes
@@ -517,11 +542,37 @@ _COMMANDS = {
         **_WINDOW, **_FORMAT}),
 }
 
+# command name -> the names of `_LAZY` it reads, with the error `main` catches
+_READS = {name: frozenset({"HomologyInvariantError", *names}) for name, names in {
+    "homology": ("ExponentVector", "full_homology"),
+    "orbits": ("ExponentVector", "classify_index", "enumerate_orbit_types"),
+    "ch": ("ExponentVector", "period_shift", "ch_report", "DegenerateContactFormError",
+           "classify_index", "crosscheck_rows"),
+    "sum": ("ExponentVector", "GeneratorCounts", "GradedRanks", "MAX_TORSION_FACTORS", "combine"),
+    "exotic": ("MAX_TORSION_FACTORS", "sphere_exponents", "ch_report", "special_sphere_check",
+               "GeneratorCounts", "iterated_sphere_sum", "beta"),
+}.items()}
+
 
 @cache  # parsing leaves the parsers as they were, so one set serves every call
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser():
     """The full parser, and each subcommand's own parser by name, from `_COMMANDS`."""
-    parser = _Parser(prog="brieskorn-ch", description=__doc__)
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits 2 on bad usage by default; 2 is taken by the
+        # degenerate gate, so usage problems are rerouted to exit 1, the exit
+        # of every ValueError that reaches `main`.
+        def error(self, message):
+            raise ValueError(message)
+
+    def window(text):  # argparse prints the reason of an ArgumentTypeError only
+        try:
+            return _parse_window(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser = Parser(prog="brieskorn-ch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for name, (func, help_text, positional, options) in _COMMANDS.items():
@@ -531,8 +582,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
             p.add_argument(dest, help=help_text, **_RUN if convert is _RUN else {"nargs": "+"})
         for option, (dest, convert, default, help_text) in options.items():
             kind = (convert if type(convert) is dict else {"choices": convert}
-                    if type(convert) is tuple else
-                    {"type": convert, "metavar": "LO:HI" if convert is _parse_window else None})
+                    if type(convert) is tuple else {"type": window, "metavar": "LO:HI"}
+                    if convert is _parse_window else {"type": convert, "metavar": None})
             p.add_argument(option, dest=dest, default=default, required=convert is _RUN,
                            help=help_text, **kind)
         p.set_defaults(func=func)
@@ -541,8 +592,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _converted(convert, words: list[str]):
     """What argparse makes of an option's or a positional run's words;
-    ValueError or `argparse.ArgumentTypeError` where it refuses them, or
-    where `_read_args` declines them (a run of other than decimals)."""
+    ValueError where it refuses them, or where `_read_args` declines them
+    (a run of other than decimals)."""
     if convert is _RUN:
         if not all(map(str.isdecimal, words)):
             raise ValueError("not a run of decimals")
@@ -563,10 +614,10 @@ def _run_end(argv: list[str], i: int) -> int:
     return i
 
 
-def _read_args(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives `argv`, read in one pass off `_COMMANDS`,
-    or None for a spelling the pass leaves to argparse (the module docstring
-    lists both kinds)."""
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The names and values argparse gives `argv`, read in one pass off
+    `_COMMANDS` into a plain namespace, or None for a spelling the pass
+    leaves to argparse (the module docstring lists both kinds)."""
     spec = _COMMANDS.get(argv[0]) if argv else None
     if spec is None:
         return None
@@ -602,7 +653,7 @@ def _read_args(argv: list[str]) -> argparse.Namespace | None:
                     return None
                 i += len(words)
             values[dest] = _converted(convert, words)
-    except (ValueError, argparse.ArgumentTypeError):
+    except ValueError:
         return None
     if positional is not None and positional[0] not in values:
         return None
@@ -611,28 +662,41 @@ def _read_args(argv: list[str]) -> argparse.Namespace | None:
             if convert is _RUN:  # --primes is required
                 return None
             values[dest] = default
-    return argparse.Namespace(command=argv[0], **values, func=func)
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
+def _parse_args(argv: list[str]):
+    """The namespace argparse gives `argv`; ValueError where it refuses it."""
+    # A leading subcommand name hands the rest straight to its parser,
+    # which the full parser would reach with the same arguments; no
+    # argument, -h, an unknown name or a leading option take the full one.
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
+
+
+def _usage(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _read_args(argv)
-        if args is None:
-            # A leading subcommand name hands the rest straight to its parser,
-            # which the full parser would reach with the same arguments; no
-            # argument, -h, an unknown name or a leading option take the full one.
-            parser, commands = _build_parser()
-            command = commands.get(argv[0]) if argv else None
-            if command is None:
-                args = parser.parse_args(argv)
-            else:
-                args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args = _read_args(argv) or _parse_args(argv)
+    except ValueError as exc:
+        return _usage(exc)
+    # bind what the command reads; a name bound already (by an earlier
+    # call, or to a wrapper in its place) is kept
+    for name in _READS[args.command].difference(globals()):
+        __getattr__(name)
+    try:
         payload, diagnostics, code = args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(exc)
     except HomologyInvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

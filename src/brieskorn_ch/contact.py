@@ -33,6 +33,10 @@ from .orbits import enumerate_orbit_types, valid_multiplier  # unused, kept for 
 from .randell import ExponentVector, closed_kappa, orbit_space_betti, type_times
 from .randell import orbit_space_rational_homology  # unused, kept for perfbench's tracer
 
+# The most multipliers one scan visits; a scan that would visit more is
+# refused before it starts.
+MAX_SCAN_VISITS = 10**7
+
 
 class DegenerateContactFormError(ValueError):
     """sum(1/a_j) = 1: degree-0 orbits are unavoidable.
@@ -185,17 +189,27 @@ def _scan(
     lies past the window's far edge, so does every later type, and the
     walk stops there; a type's plan is built only when some N of it is
     visited.  Rows are (m, N, j, degree, count), ascending by (m, N, j).
+    A walk of more than `MAX_SCAN_VISITS` multipliers is refused
+    (ValueError) before any is visited.
     """
     n, L = a.n, a.lcm()
     times, plans = types
-    ranks: dict[int, int] = {}
-    rows = []
+    band_lo, band_hi = lo - 2 * (n - 2), hi + 2
+    walk = []
+    visits = 0
     for m in times:
-        multipliers = _multipliers(L // m, shift, lo - 2 * (n - 2), hi + 2)
+        multipliers = _multipliers(L // m, shift, band_lo, band_hi)
         if multipliers.stop <= 1:
             break
-        if not multipliers:
-            continue
+        if multipliers:
+            walk.append((m, multipliers))
+            visits += multipliers.stop - multipliers.start
+    if visits > MAX_SCAN_VISITS:
+        raise ValueError(f"degrees {lo} to {hi} need {visits} multipliers scanned, more than"
+                         f" {MAX_SCAN_VISITS}: pass --window LO:HI with a narrower window")
+    ranks: dict[int, int] = {}
+    rows = []
+    for m, multipliers in walk:
         plan = plans.get(m)
         if plan is None:
             plan = plans[m] = _plan(a, m)

@@ -554,6 +554,23 @@ def test_torsion_too_long_to_write_exits_1(capsys):
                    " too large to write\n")
 
 
+@pytest.mark.parametrize("argv, visits", [
+    ("ch 10000000 2 2 2", 10_000_002),  # the default window, two periods of 10**7 + 2
+    ("ch 3 3 3 3 --window 0:100000000", 50_000_001),
+    ("ch 2 3 7 43 1807 3263443 --window 0:10", 10_868_345_456_511),
+])
+def test_ch_refuses_a_scan_too_large_to_finish(capsys, argv, visits):
+    # each ran out of memory after seconds; the scan's multiplier ranges are
+    # summed before any multiplier is visited
+    from brieskorn_ch.contact import MAX_SCAN_VISITS
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert f" need {visits} multipliers scanned, more than {MAX_SCAN_VISITS}: pass --window LO:HI" in err
+
+
 @pytest.mark.parametrize("kind", ["ch", "sum"])
 def test_sum_refuses_more_tube_degrees_than_it_can_write(capsys, tmp_path, kind):
     # a cutoff of 10**11 asks for 5 * 10**10 tube counts, which would run out

@@ -235,6 +235,28 @@ def test_scan_cost_follows_the_window_not_its_position(monkeypatch, exponents, w
     assert dict(report.ranks.items()) == {d: ranks(d) for d in range(lo, hi + 1, 2)}
 
 
+def test_the_scan_budget_is_the_count_of_multipliers_visited(monkeypatch):
+    # a scan of exactly MAX_SCAN_VISITS multipliers runs; one more is refused unvisited
+    a = ExponentVector((6, 2, 2, 2))
+    _, types = contact._types(a)
+    visited = []
+    original = contact._multipliers
+
+    def counting(*args):
+        visited.append(original(*args))
+        return visited[-1]
+
+    monkeypatch.setattr(contact, "_multipliers", counting)
+    ranks, rows = contact._scan(a, types, period_shift(a), 0, 40)
+    visits = sum(map(len, visited))
+    assert visits > 10 and rows
+    monkeypatch.setattr(contact, "MAX_SCAN_VISITS", visits)
+    assert contact._scan(a, types, period_shift(a), 0, 40) == (ranks, rows)
+    monkeypatch.setattr(contact, "MAX_SCAN_VISITS", visits - 1)
+    with pytest.raises(ValueError, match=f"need {visits} multipliers scanned, more than {visits - 1}"):
+        contact._scan(a, types, period_shift(a), 0, 40)
+
+
 def walk_length(a, top):
     """Multipliers the reference walk visits to reach degree `top` in absolute value."""
     slope = 2 * abs(a.reciprocal_sum() - 1)

@@ -43,15 +43,12 @@ from itertools import count
 from operator import attrgetter, itemgetter, methodcaller
 from types import SimpleNamespace
 
-try:
-    from _json import encode_basestring_ascii
-except ImportError:  # an interpreter without json's C accelerator
-    from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 
 # The names this module reads from the pipeline, by the module that defines
 # them.  None is imported with this module: each is read on first use through
-# `__getattr__` (PEP 562), and `main` binds the names of a command (`_READS`)
-# before the command runs, so a command loads only the stages it reads.
+# `__getattr__` (PEP 562), and `main` binds the names of a command's stages
+# (`_BINDS`) before the command runs, so a command loads only those stages.
 _LAZY = {name: module for module, names in {
     f"{__package__}.randell": ("ExponentVector", "HomologyInvariantError", "HomologyReport",
                                "MAX_TORSION_FACTORS", "full_homology"),
@@ -131,27 +128,20 @@ def _by_type(table: dict) -> dict:
     return {kind: entry for name, entry in table.items() if (kind := _loaded(name)) is not None}
 
 
-class _Merged:
-    """A report written with more keys beside its own."""
+# The writer's own two kinds of value are plain namespaces, not dataclasses:
+# importing `dataclasses` (with `inspect`) is most of what importing this
+# module would cost, and `-h` and a refused usage write no report.
 
-    __slots__ = ("report", "extra")
-
-    def __init__(self, report, extra: dict):
-        self.report, self.extra = report, extra
+class _Merged(SimpleNamespace):
+    """A `report` written with more keys, the dict `extra`, beside its own."""
 
 
-class _Table:
-    """Int rows, written as a list of arrays (`keys` None) or of {key: cell} objects.
+class _Table(SimpleNamespace):
+    """Int `rows`, written as a list of arrays (`keys` None) or of {key: cell} objects.
 
     The rows stay the tuples they were computed as; no per-row list or dict
     is built.  The rows of a keyless table share one width.
     """
-
-    __slots__ = ("keys", "rows")
-
-    def __init__(self, keys: tuple[str, ...] | None,
-                 rows: tuple[tuple[int, ...], ...] | list[tuple[int, ...]]):
-        self.keys, self.rows = keys, rows
 
 
 _INT = {int}  # the item types of an array of exact ints
@@ -173,7 +163,7 @@ def _layout(kind: type, extra: tuple[str, ...], pad: str) -> tuple[str | None, C
     """A report of type `kind`, or a `_Merged` of one with the `extra` keys: its template, keys
     sorted, and one function reading their values (one `attrgetter` where all are attributes).
     A type of `_WRITTEN_AS` gets no template and its function."""
-    from dataclasses import fields  # loaded with the first report type
+    from dataclasses import fields  # every report type is one: loaded with the reports
 
     written_as = _by_type(_WRITTEN_AS).get(kind)
     if written_as is not None:
@@ -390,8 +380,8 @@ def _cmd_ch(args):
         )
     payload = report
     if args.provenance:
-        contributions = _Table(("m", "N", "j", "degree", "count"), report.rows)
-        payload = _Merged(report, {"contributions": contributions})
+        contributions = _Table(keys=("m", "N", "j", "degree", "count"), rows=report.rows)
+        payload = _Merged(report=report, extra={"contributions": contributions})
     return payload, diagnostics, EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
 
 
@@ -505,7 +495,7 @@ def _cmd_exotic(args):
     low, tube = (sphere[d] for d in (2 * n - 4, 2 * n - 3))
     rows = list(zip(range(1, args.copies + 1), count(low, low + beta(n, 2 * n - 4)),
                     count(tube, tube + beta(n, 2 * n - 3))))
-    iterated = _Table(("copies", "low_degree", "tube_degree"), rows)
+    iterated = _Table(keys=("copies", "low_degree", "tube_degree"), rows=rows)
     payload = {"verdict": verdict, "iterated_counts": iterated, "final_counts": final}
     diagnostics = ["degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"]
     return payload, diagnostics, EXIT_OK
@@ -542,16 +532,12 @@ _COMMANDS = {
         **_WINDOW, **_FORMAT}),
 }
 
-# command name -> the names of `_LAZY` it reads, with the error `main` catches
-_READS = {name: frozenset({"HomologyInvariantError", *names}) for name, names in {
-    "homology": ("ExponentVector", "full_homology"),
-    "orbits": ("ExponentVector", "classify_index", "enumerate_orbit_types"),
-    "ch": ("ExponentVector", "period_shift", "ch_report", "DegenerateContactFormError",
-           "classify_index", "crosscheck_rows"),
-    "sum": ("ExponentVector", "GeneratorCounts", "GradedRanks", "MAX_TORSION_FACTORS", "combine"),
-    "exotic": ("MAX_TORSION_FACTORS", "sphere_exponents", "ch_report", "special_sphere_check",
-               "GeneratorCounts", "iterated_sphere_sum", "beta"),
-}.items()}
+# The stages in pipeline order, each importing those before it: a command
+# reads the first few, and `main` binds every `_LAZY` name of those
+_STAGES = [f"{__package__}.{stage}" for stage in ("randell", "orbits", "maslov", "contact",
+                                                   "connected_sum")]
+_BINDS = {command: frozenset(name for name, module in _LAZY.items() if module in _STAGES[:depth])
+          for command, depth in {"homology": 1, "orbits": 3, "ch": 4, "sum": 5, "exotic": 5}.items()}
 
 
 @cache  # parsing leaves the parsers as they were, so one set serves every call
@@ -691,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
         return _usage(exc)
     # bind what the command reads; a name bound already (by an earlier
     # call, or to a wrapper in its place) is kept
-    for name in _READS[args.command].difference(globals()):
+    for name in _BINDS[args.command].difference(globals()):
         __getattr__(name)
     try:
         payload, diagnostics, code = args.func(args)

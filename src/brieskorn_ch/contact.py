@@ -177,7 +177,8 @@ def _multipliers(period: int, shift: int, lo: int, hi: int) -> range:
 
 
 def _scan(
-    a: ExponentVector, types: _Types, shift: int, lo: int, hi: int
+    a: ExponentVector, types: _Types, shift: int, lo: int, hi: int,
+    refusal: str = "the exponents are too large, whatever the window",
 ) -> tuple[dict[int, int], list[tuple[int, int, int, int, int]]]:
     """Ranks of the contributions with degree in [lo, hi], and their rows.
 
@@ -190,7 +191,7 @@ def _scan(
     walk stops there; a type's plan is built only when some N of it is
     visited.  Rows are (m, N, j, degree, count), ascending by (m, N, j).
     A walk of more than `MAX_SCAN_VISITS` multipliers is refused
-    (ValueError) before any is visited.
+    (ValueError, its count and `refusal`) before any is visited.
     """
     n, L = a.n, a.lcm()
     times, plans = types
@@ -206,7 +207,7 @@ def _scan(
             visits += multipliers.stop - multipliers.start
     if visits > MAX_SCAN_VISITS:
         raise ValueError(f"degrees {lo} to {hi} need {visits} multipliers scanned, more than"
-                         f" {MAX_SCAN_VISITS}: pass --window LO:HI with a narrower window")
+                         f" {MAX_SCAN_VISITS}: {refusal}")
     ranks: dict[int, int] = {}
     rows = []
     for m, multipliers in walk:
@@ -259,21 +260,23 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
 
     The well-definedness scan is window-independent: it enumerates every
     contribution that could land in degrees -1..1, not just the windowed
-    ones.
+    ones; it runs first, since no window makes it cheaper.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
     character, types = _types(a)
     shift, L = period_shift(a), a.lcm()
-    ranks, rows = _scan(a, types, shift, lo, hi)
+    well_defined = not _scan(a, types, shift, -1, 1, "the exponents are too large for the"
+                             " well-definedness check, whatever the window")[0]
+    ranks, rows = _scan(a, types, shift, lo, hi, "pass --window LO:HI with a narrower window")
     return CHReport(
         exponents=a,
         character=character,
         ranks=GradedRanks(ranks=ranks, window=(lo, hi)),
         period_shift=shift,
         period_multipliers={m: L // m for m in types.times},  # a period needs no plan
-        well_defined=not _scan(a, types, shift, -1, 1)[0],
+        well_defined=well_defined,
         rows=tuple(rows),
     )
 

@@ -554,21 +554,30 @@ def test_torsion_too_long_to_write_exits_1(capsys):
                    " too large to write\n")
 
 
-@pytest.mark.parametrize("argv, visits", [
-    ("ch 10000000 2 2 2", 10_000_002),  # the default window, two periods of 10**7 + 2
-    ("ch 3 3 3 3 --window 0:100000000", 50_000_001),
-    ("ch 2 3 7 43 1807 3263443 --window 0:10", 10_868_345_456_511),
+WINDOW_TOO_WIDE = "pass --window LO:HI with a narrower window"
+GATE_TOO_LARGE = "the exponents are too large for the well-definedness check, whatever the window"
+
+
+@pytest.mark.parametrize("argv, degrees, visits, reason", [
+    # the default window, two periods of 10**7 + 2
+    ("ch 10000000 2 2 2", "0 to 20000004", 10_000_002, WINDOW_TOO_WIDE),
+    ("ch 3 3 3 3 --window 0:100000000", "0 to 100000000", 50_000_001, WINDOW_TOO_WIDE),
+    # the gate over degrees -1..1 is what no window makes cheaper
+    ("ch 2 3 7 43 1807 3263443 --window 0:10", "-1 to 1", 12_679_736_365_914, GATE_TOO_LARGE),
+    # the window scan alone (8,333,333 multipliers) would run, for seconds
+    ("ch 3 3 3 25000000 --window 0:0", "-1 to 1", 12_500_000, GATE_TOO_LARGE),
 ])
-def test_ch_refuses_a_scan_too_large_to_finish(capsys, argv, visits):
-    # each ran out of memory after seconds; the scan's multiplier ranges are
-    # summed before any multiplier is visited
+def test_ch_refuses_a_scan_too_large_to_finish(capsys, argv, degrees, visits, reason):
+    # the first three ran out of memory after seconds; the scan's multiplier
+    # ranges are summed before any multiplier is visited
     from brieskorn_ch.contact import MAX_SCAN_VISITS
 
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
-    assert f" need {visits} multipliers scanned, more than {MAX_SCAN_VISITS}: pass --window LO:HI" in err
+    assert err == (f"error: degrees {degrees} need {visits} multipliers scanned,"
+                   f" more than {MAX_SCAN_VISITS}: {reason}\n")
 
 
 @pytest.mark.parametrize("kind", ["ch", "sum"])
@@ -1193,7 +1202,7 @@ leaves = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
 def tables_of(keys, width):
     """Tables of up to three rows of `width` int cells, as every table `main` builds."""
     rows = st.lists(st.tuples(*[st.integers()] * width), max_size=3)
-    return rows.map(lambda rows: cli._Table(keys, rows))
+    return rows.map(lambda rows: cli._Table(keys=keys, rows=rows))
 
 
 tables = st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True).flatmap(

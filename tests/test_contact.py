@@ -257,6 +257,14 @@ def test_the_scan_budget_is_the_count_of_multipliers_visited(monkeypatch):
         contact._scan(a, types, period_shift(a), 0, 40)
 
 
+def test_the_scan_below_the_sphere_degrees_refuses_without_naming_a_window(monkeypatch):
+    # `exotic`'s scan up to degree 2n - 5 reads no window: no --window can make it cheaper
+    monkeypatch.setattr(contact, "MAX_SCAN_VISITS", 0)
+    with pytest.raises(ValueError) as refusal:
+        ranks_up_to(ExponentVector((6, 2, 2, 2)), 5)
+    assert str(refusal.value).endswith(": the exponents are too large, whatever the window")
+
+
 def walk_length(a, top):
     """Multipliers the reference walk visits to reach degree `top` in absolute value."""
     slope = 2 * abs(a.reciprocal_sum() - 1)

@@ -22,11 +22,12 @@ _PUBLIC = {name: module for module, names in {
     "contact": ("CHReport", "Contribution", "DegenerateContactFormError", "GradedRanks",
                 "ch_ranks", "ch_report", "generator_degree", "period_shift", "ranks_up_to",
                 "sufficient_negativity_check"),
-    "maslov": ("IndexCharacter", "classify_index", "maslov_crosscheck", "maslov_orbit_space",
-               "maslov_unitary"),
+    "maslov": ("IndexCharacter", "classify_index", "crosscheck_rows", "maslov_crosscheck",
+               "maslov_orbit_space", "maslov_unitary"),
     "orbits": ("OrbitType", "enumerate_orbit_types", "valid_multiplier"),
-    "randell": ("ExponentVector", "HomologyInvariantError", "HomologyReport", "full_homology",
-                "kappa", "orbit_space_rational_homology", "torsion"),
+    "randell": ("ExponentVector", "HomologyInvariantError", "HomologyReport",
+                "MAX_TORSION_FACTORS", "full_homology", "kappa", "orbit_space_rational_homology",
+                "torsion"),
 }.items() for name in names}
 
 __all__ = sorted(_PUBLIC)

@@ -12,7 +12,8 @@ text of `json.dumps(envelope, sort_keys=True, indent=2)`, through a layout
 cached per report type and indent.  Exit codes:
 
     0  success
-    1  usage or malformed input, schema mismatch, or an answer too large to write
+    1  usage or malformed input, schema mismatch, an answer too large to
+       write, or a scan over its work budget (contact.MAX_SCAN_VISITS)
     2  degenerate character (sum of reciprocal exponents is 1)
     3  contact homology not well defined (generators in degree -1, 0, 1)
     4  special-sphere check failed
@@ -45,36 +46,27 @@ from types import SimpleNamespace
 
 from _json import encode_basestring_ascii
 
-# The names this module reads from the pipeline, by the module that defines
-# them.  None is imported with this module: each is read on first use through
-# `__getattr__` (PEP 562), and `main` binds the names of a command's stages
-# (`_BINDS`) before the command runs, so a command loads only those stages.
-_LAZY = {name: module for module, names in {
-    f"{__package__}.randell": ("ExponentVector", "HomologyInvariantError", "HomologyReport",
-                               "MAX_TORSION_FACTORS", "full_homology"),
-    f"{__package__}.orbits": ("OrbitType", "enumerate_orbit_types"),
-    f"{__package__}.maslov": ("classify_index", "crosscheck_rows",
-                              "maslov_crosscheck"),  # not called, kept for perfbench's tracer
-    f"{__package__}.contact": ("CHReport", "DegenerateContactFormError", "GradedRanks", "ch_report",
-                               "period_shift"),
-    f"{__package__}.connected_sum": ("GeneratorCounts", "SpecialSphereVerdict", "beta", "combine",
-                                     "iterated_sphere_sum", "special_sphere_check",
-                                     "sphere_exponents"),
-    "fractions": ("Fraction",),
-}.items() for name in names}
+from . import _PUBLIC
+
+# The pipeline names this module reads are the package's public names
+# (`_PUBLIC`, name -> module).  None is imported with this module: each is
+# read on first use through `__getattr__` (PEP 562), and `main` binds the
+# names of a command's stages (`_BINDS`) before the command runs, so a
+# command loads only those stages.
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # bound here, so later reads of the name skip this function
-    return globals().setdefault(name, getattr(import_module(_LAZY[name]), name))
+    module = import_module(f"{__package__}.{_PUBLIC[name]}")
+    return globals().setdefault(name, getattr(module, name))
 
 
 def _loaded(name: str):
-    """The object `name` of `_LAZY` names, or None while its module is not
-    imported: no value can be of a type whose module has not run."""
-    return getattr(sys.modules.get(_LAZY[name]), name, None)
+    """The object the public `name` stands for, or None while its module is
+    not imported: no value can be of a type whose module has not run."""
+    return getattr(sys.modules.get(f"{__package__}.{_PUBLIC[name]}"), name, None)
 
 
 SCHEMA_VERSION = "1"
@@ -103,14 +95,13 @@ def _parse_window(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # report objects -> JSON text
 
-# The types written as another JSON value, by their name in `_LAZY`: an
-# exponent vector as its exponents, a fraction as its string.
-_WRITTEN_AS = {"ExponentVector": attrgetter("a"), "Fraction": str}
-
-# A report's keys that are not its fields, by the name of its type in
-# `_LAZY`: (fields left out, derived keys, each read by an attribute name or
-# a function of the report).
+# How a report type is written, by its public name: a function giving the
+# JSON value it stands for (an exponent vector is its exponents), or (fields
+# left out, derived keys, each read by an attribute name or a function of the
+# report) for a report written as an object of its fields.
 _OVERRIDES = {
+    "ExponentVector": attrgetter("a"),
+    "IndexCharacter": ((), {"reciprocal_sum": lambda c: str(c.reciprocal_sum)}),
     "HomologyReport": (("full_graded",), {"graded": lambda r: [
         {"degree": degree, "rank": rank, "torsion": tors}
         for degree, (rank, tors) in sorted(r.full_graded.items())
@@ -162,13 +153,13 @@ def _dict_layout(keys: tuple[str, ...], pad: str) -> tuple[tuple[str, ...], str]
 def _layout(kind: type, extra: tuple[str, ...], pad: str) -> tuple[str | None, Callable]:
     """A report of type `kind`, or a `_Merged` of one with the `extra` keys: its template, keys
     sorted, and one function reading their values (one `attrgetter` where all are attributes).
-    A type of `_WRITTEN_AS` gets no template and its function."""
+    A type `_OVERRIDES` writes as another value gets no template and its function."""
     from dataclasses import fields  # every report type is one: loaded with the reports
 
-    written_as = _by_type(_WRITTEN_AS).get(kind)
-    if written_as is not None:
-        return None, written_as
-    left_out, derived = _by_type(_OVERRIDES).get(kind, ((), {}))
+    entry = _by_type(_OVERRIDES).get(kind, ((), {}))
+    if type(entry) is not tuple:
+        return None, entry
+    left_out, derived = entry
     sources = {f.name: f.name for f in fields(kind) if f.name not in left_out}
     sources.update(derived)
     keys, template = _dict_layout((*sources, *extra), pad)
@@ -207,21 +198,14 @@ def _table(keys: tuple[str, ...] | None, rows, pad: str) -> str:
 
 
 def _members(template: str, values, pad: str, maps_as_rows: bool) -> str:
-    """An object through its `%`-template, from its values in key order.
-    Ints, strings, bools, None and arrays of exact ints are written inline;
-    a dict, where `maps_as_rows` (a report's int maps: ranks, period
-    multipliers, counts), as its keyless rows [key, value] sorted by key."""
+    """An object through its `%`-template, from its values in key order: a
+    dict, where `maps_as_rows` (a report's int maps: ranks, period
+    multipliers, counts), as its keyless rows [key, value] sorted by key,
+    every other value through `_dumps`."""
     inner = pad + "  "
-    deeper = inner + "  "
     return template % tuple([
-        str(item) if (kind := type(item)) is int
-        else encode_basestring_ascii(item) if kind is str
-        else _LITERALS[item] if kind is bool or item is None
-        else ("[" + deeper + ("," + deeper).join(map(str, item)) + inner + "]" if item else "[]")
-        if (kind is tuple or kind is list) and {*map(type, item)} <= _INT
-        else _table(None, sorted(item.items()), inner) if kind is dict and maps_as_rows
-        else _dumps(item, inner)
-        for item in values
+        _table(None, sorted(item.items()), inner) if maps_as_rows and type(item) is dict
+        else _dumps(item, inner) for item in values
     ])
 
 
@@ -231,9 +215,9 @@ def _dumps(value, pad: str = "\n") -> str:
 
     `pad` is the newline and indent the closing bracket sits on.  A report
     is written through its type's `_layout`, a dict through the template
-    of its keys; an `ExponentVector` is its exponents, a `Fraction` its
-    string (`_WRITTEN_AS`).  The standard library's indented encoder is
-    pure Python and takes twice as long on large envelopes.
+    of its keys; an `ExponentVector` is its exponents (`_OVERRIDES`).  The
+    standard library's indented encoder is pure Python and takes twice as
+    long on large envelopes.
     """
     kind = type(value)
     if kind is str:
@@ -533,16 +517,15 @@ _COMMANDS = {
 }
 
 # The stages in pipeline order, each importing those before it: a command
-# reads the first few, and `main` binds every `_LAZY` name of those
-_STAGES = [f"{__package__}.{stage}" for stage in ("randell", "orbits", "maslov", "contact",
-                                                   "connected_sum")]
-_BINDS = {command: frozenset(name for name, module in _LAZY.items() if module in _STAGES[:depth])
+# reads the first few, and `main` binds every public name of those
+_STAGES = ("randell", "orbits", "maslov", "contact", "connected_sum")
+_BINDS = {command: frozenset(name for name, module in _PUBLIC.items() if module in _STAGES[:depth])
           for command, depth in {"homology": 1, "orbits": 3, "ch": 4, "sum": 5, "exotic": 5}.items()}
 
 
-@cache  # parsing leaves the parsers as they were, so one set serves every call
+@cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser():
-    """The full parser, and each subcommand's own parser by name, from `_COMMANDS`."""
+    """The parser of every spelling `_read_args` declines, from `_COMMANDS`."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -560,9 +543,8 @@ def _build_parser():
 
     parser = Parser(prog="brieskorn-ch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (func, help_text, positional, options) in _COMMANDS.items():
-        p = commands[name] = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         if positional is not None:
             dest, convert, help_text = positional
             p.add_argument(dest, help=help_text, **_RUN if convert is _RUN else {"nargs": "+"})
@@ -573,7 +555,7 @@ def _build_parser():
             p.add_argument(option, dest=dest, default=default, required=convert is _RUN,
                            help=help_text, **kind)
         p.set_defaults(func=func)
-    return parser, commands
+    return parser
 
 
 def _converted(convert, words: list[str]):
@@ -651,18 +633,6 @@ def _read_args(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **values, func=func)
 
 
-def _parse_args(argv: list[str]):
-    """The namespace argparse gives `argv`; ValueError where it refuses it."""
-    # A leading subcommand name hands the rest straight to its parser,
-    # which the full parser would reach with the same arguments; no
-    # argument, -h, an unknown name or a leading option take the full one.
-    parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    return command.parse_args(argv[1:], SimpleNamespace(command=argv[0]))
-
-
 def _usage(exc: ValueError) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE
@@ -672,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _read_args(argv) or _parse_args(argv)
+        args = _read_args(argv) or _build_parser().parse_args(argv)
     except ValueError as exc:
         return _usage(exc)
     # bind what the command reads; a name bound already (by an earlier

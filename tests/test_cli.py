@@ -1,16 +1,20 @@
-import argparse
+import builtins
 import dataclasses
+import dis
+import inspect
 import json
 import random
 import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brieskorn_ch
 from brieskorn_ch import cli, maslov
 from brieskorn_ch.cli import EXIT_USAGE, main
 from brieskorn_ch.connected_sum import GeneratorCounts, SpecialSphereVerdict
@@ -867,7 +871,7 @@ SUBCOMMAND_CASES = [
     ["homology", "٤", "2", "2", "2"],  # ARABIC-INDIC FOUR: decimal, int reads it
     ["homology", "²", "2", "2", "2"],  # SUPERSCRIPT TWO: a digit, not decimal; int refuses it
 ]
-# no subcommand name first: the full parser reads these on either route
+# no subcommand name first: the one-pass read declines them all
 FULL_PARSER_CASES = [
     [], ["-h"], ["cho", "2", "2", "2", "2"], ["--format", "json", "ch", "6", "2", "2", "2"],
 ]
@@ -883,35 +887,24 @@ def replay(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_a_leading_subcommand_skips_the_full_parser_with_the_same_bytes(capsys, monkeypatch):
-    # the one-hop route reads argv in one pass or hands argv[1:] to the
-    # subcommand's parser; without the one-pass read and the subcommand
-    # table every argv takes the full parser, as it always did
-    parser, _ = cli._build_parser()
+def test_the_one_pass_read_on_or_off_writes_the_same_bytes(capsys, monkeypatch):
+    # the one-pass read, where it takes an argv, gives what the parser would:
+    # with the read switched off, every argv takes the parser, as it always did
     cases = SUBCOMMAND_CASES + FULL_PARSER_CASES
-
-    def refuse(argv):
-        raise AssertionError(f"the full parser read {argv}")
-
-    monkeypatch.setattr(parser, "parse_args", refuse)
-    one_hop = [replay(capsys, argv) for argv in SUBCOMMAND_CASES]
-    monkeypatch.undo()
-    one_hop += [replay(capsys, argv) for argv in FULL_PARSER_CASES]
-    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    read_first = [replay(capsys, argv) for argv in cases]
     monkeypatch.setattr(cli, "_read_args", lambda argv: None)
-    assert [replay(capsys, argv) for argv in cases] == one_hop
-    codes = [code for code, _, _ in one_hop]
+    assert [replay(capsys, argv) for argv in cases] == read_first
+    codes = [code for code, _, _ in read_first]
     assert codes.count(1) >= 12 and set(codes) == {0, 1, 2, 4}
-    helps = [out for argv, (_, out, _) in zip(cases, one_hop) if {"-h", "--help"} & set(argv)]
+    helps = [out for argv, (_, out, _) in zip(cases, read_first) if {"-h", "--help"} & set(argv)]
     assert [out.partition(" [")[0] for out in helps] == [
         "usage: brieskorn-ch ch", "usage: brieskorn-ch exotic", "usage: brieskorn-ch"
     ]
 
 
 def argparse_args(argv):
-    """The namespace the subcommand's own parser gives `argv`."""
-    _, commands = cli._build_parser()
-    return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    """The namespace the parser gives `argv`."""
+    return cli._build_parser().parse_args(argv)
 
 
 # every option in full, abbreviated and with a value after "="; values
@@ -948,7 +941,7 @@ def pooled_argv(command):
 
 def test_the_one_pass_read_gives_argparse_namespace_or_declines():
     # on any argv drawn from the pool: either None, or the namespace the
-    # subcommand's parser gives (which must then parse it, not refuse it)
+    # parser gives (which must then parse it, not refuse it)
     reads = Counter()
 
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
@@ -978,9 +971,7 @@ def test_every_benchmark_argv_takes_the_one_pass_read(capsys, monkeypatch, tmp_p
     def refuse(*args, **kwargs):
         raise AssertionError("argparse was called")
 
-    parser, commands = cli._build_parser()
-    for p in (parser, *commands.values()):
-        monkeypatch.setattr(p, "parse_args", refuse)
+    monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
     monkeypatch.chdir(tmp_path)
     for seed in (1, 2, 3):
         for _, query, path in sum_pool(seed):
@@ -989,6 +980,52 @@ def test_every_benchmark_argv_takes_the_one_pass_read(capsys, monkeypatch, tmp_p
             Path(path).write_text(out, encoding="utf-8")
     codes = Counter(run(capsys, *argv)[0] for argv in argvs)
     assert EXIT_USAGE not in codes and len(argvs) > 600, codes
+
+
+def nested(code: CodeType):
+    """`code` and every code object inside it: functions, classes, comprehensions."""
+    yield code
+    for const in code.co_consts:
+        if type(const) is CodeType:
+            yield from nested(const)
+
+
+def global_reads(function) -> set[str]:
+    """The global names `function` reads, and every `cli` function it reaches."""
+    reads, seen, todo = set(), set(), [function]
+    while todo:
+        code = inspect.unwrap(todo.pop()).__code__  # a cached function through its cache
+        if code in seen:
+            continue
+        seen.add(code)
+        for instruction in (i for c in nested(code) for i in dis.get_instructions(c)):
+            if instruction.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
+                reads.add(name := instruction.argval)
+                value = inspect.unwrap(vars(cli).get(name, None))
+                if getattr(value, "__module__", None) == cli.__name__ and hasattr(value, "__code__"):
+                    todo.append(value)
+    return reads
+
+
+def test_every_name_a_command_reads_is_bound_before_it_runs():
+    # a name read only on a rare branch (an error path) still resolves: each
+    # command, with every `cli` function it reaches, reads only `cli`'s own
+    # names, builtins and the public names `main` binds for it; `main` and what
+    # it reaches read only what every command binds
+    module = compile(Path(cli.__file__).read_text(encoding="utf-8"), cli.__file__, "exec")
+    own = {i.argval for i in dis.get_instructions(module) if i.opname == "STORE_NAME"}
+    own |= {name for name in vars(cli) if name.startswith("__") and name.endswith("__")}
+    assert not own & set(brieskorn_ch._PUBLIC)  # a bound name never shadows one of `cli`'s
+    known = own | set(vars(builtins))
+    for command, (function, *_) in cli._COMMANDS.items():
+        reads = global_reads(function)
+        assert reads - known <= cli._BINDS[command], command
+        assert reads - known, command  # each command reads some pipeline name
+    shared = frozenset.intersection(*cli._BINDS.values())
+    reads = global_reads(cli.main)
+    assert {"_dumps", "_render_text", "_read_args", "_build_parser"} <= reads
+    assert reads - known <= shared and "HomologyInvariantError" in reads
+    assert "GradedRanks" in global_reads(cli._cmd_sum)  # read in `_counts_from_envelope` only
 
 
 def test_main_reads_the_process_arguments_when_given_none(capsys, monkeypatch):

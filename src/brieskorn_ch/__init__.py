@@ -26,8 +26,8 @@ _PUBLIC = {name: module for module, names in {
                "maslov_orbit_space", "maslov_unitary"),
     "orbits": ("OrbitType", "enumerate_orbit_types", "valid_multiplier"),
     "randell": ("ExponentVector", "HomologyInvariantError", "HomologyReport",
-                "MAX_TORSION_FACTORS", "full_homology", "kappa", "orbit_space_rational_homology",
-                "torsion"),
+                "MAX_TORSION_FACTORS", "full_homology", "graph_sphere", "kappa",
+                "orbit_space_rational_homology", "torsion"),
 }.items() for name in names}
 
 __all__ = sorted(_PUBLIC)

@@ -110,7 +110,8 @@ _OVERRIDES = {
     "SpecialSphereVerdict": ((), {"passed": "passed",
                                   "failing_clauses": methodcaller("failing_clauses")}),
     # Rows are written only when asked for (`ch --provenance`): there can be thousands.
-    "CHReport": (("rows",), {}),
+    # The gate's ranks stay internal: `well_defined` is their verdict.
+    "CHReport": (("rows", "gate_ranks"), {}),
 }
 
 
@@ -541,7 +542,9 @@ def _build_parser():
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    parser = Parser(prog="brieskorn-ch", description=__doc__)
+    # the docstring as written, its exit-code table one line per code
+    parser = Parser(prog="brieskorn-ch", description=__doc__,
+                    formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, positional, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)

@@ -10,8 +10,9 @@ The distinguished building block is the sphere Sigma(p_1,...,p_{n-1},2,2)
 for odd primes p_i: for suitable primes its contact homology has at least
 two generators in degree 2n-4, none below, and none in degree 2n-3, which
 makes the counts of its iterated self-sums strictly increasing in the
-number of summands.  Whether a given prime tuple works is decided here by
-running the whole pipeline, not estimated.
+number of summands.  Whether a given prime tuple works is decided here
+exactly, not estimated: from the contact homology report of the sphere
+and Brieskorn's graph criterion on its exponents.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .contact import CHReport, GradedRanks, ch_report, ranks_up_to
-from .randell import ExponentVector, full_homology
+from .randell import ExponentVector, graph_sphere
+from .randell import full_homology  # unused, kept for perfbench's tracer
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,19 @@ def special_sphere_check(primes: tuple[int, ...], report: CHReport) -> SpecialSp
     """Audit a candidate sphere against the five distinguishing clauses.
 
     `report` must be the contact homology report of (p_1,...,p_{n-1},2,2)
-    on a window covering degrees 2n-4 and 2n-3.  The no-lower-generators
-    clause is checked by a fresh global scan, not limited to the window.
+    on a window covering degrees 2n-4 and 2n-3.  The sphere clause is
+    Brieskorn's graph criterion (`graph_sphere`), with no homology built.
+
+    The no-lower-generators clause covers every degree below 2n-4, not
+    only the window's, from what the report already holds.  On an
+    index-positive vector every degree is at least slope*N - 2 > -2
+    (`contact._scan`, slope > 0 and N >= 1), so at least -1.  The report's
+    gate ranks cover -1..1 and its window lo..hi, hi >= 2n-3; only a
+    window starting above degree 2 leaves the gap 2..lo-1, scanned here
+    by `ranks_up_to` (lo - 1 <= 2n-5 as lo <= 2n-4).  Gate, window and gap
+    thus cover every degree up to 2n-5, each degree's rank read whole from
+    one of them.
     """
-    # The scan below degree 2n-4 reads the types and plans kept in `a.derived`;
-    # it reaches only the types of least period, which the report built.
     a = report.exponents
     if a != sphere_exponents(tuple(primes)):
         raise ValueError("report does not belong to the given primes")
@@ -175,19 +185,20 @@ def special_sphere_check(primes: tuple[int, ...], report: CHReport) -> SpecialSp
     if not (lo <= 2 * n - 4 and 2 * n - 3 <= hi):
         raise ValueError("report window must cover degrees 2n-4 and 2n-3")
 
-    homology = full_homology(a)
     # Without index positivity degrees are unbounded below; the sign
-    # clause fails on its own then, so the scan is skipped.
-    below: tuple[tuple[int, int], ...] = ()
+    # clause fails on its own then, so nothing is gathered.
+    below: dict[int, int] = {}
     if report.character.is_positive:
-        low_scan = ranks_up_to(a, 2 * n - 5)
-        below = tuple(low_scan.items())
+        below.update(report.gate_ranks)
+        below.update((d, r) for d, r in report.ranks.ranks.items() if d <= 2 * n - 5)
+        if lo > 2:
+            below.update(ranks_up_to(a, min(lo - 1, 2 * n - 5)).ranks)
     return SpecialSphereVerdict(
         primes=tuple(primes),
-        is_homotopy_sphere=homology.homotopy_sphere,
+        is_homotopy_sphere=graph_sphere(a),
         low_degree_rank=report.ranks[2 * n - 4],
         tube_degree_rank=report.ranks[2 * n - 3],
-        ranks_below=below,
+        ranks_below=tuple(sorted(below.items())),
         well_defined=report.well_defined,
         index_positive=report.character.is_positive,
     )

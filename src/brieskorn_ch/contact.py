@@ -17,7 +17,7 @@ remainder rejects N, and the quotients are the floors the index sums.
 
 The whole construction only exists as a contact invariant when no
 generator lands in degree -1, 0 or 1; the report carries that verdict,
-checked on a window-independent scan.
+checked on a window-independent scan, and the ranks that scan found.
 """
 
 from __future__ import annotations
@@ -87,7 +87,9 @@ class CHReport:
 
     `rows` holds one plain (m, N, j, degree, count) tuple per contribution,
     ascending by (m, N, j); `contributions` builds them into objects on
-    first read.
+    first read.  `gate_ranks` holds the well-definedness scan's nonzero
+    ranks as (degree, rank) pairs, ascending, on degrees -1..1 whatever the
+    window: empty exactly when `well_defined`.
     """
 
     exponents: ExponentVector
@@ -96,6 +98,7 @@ class CHReport:
     period_shift: int
     period_multipliers: dict[int, int]
     well_defined: bool
+    gate_ranks: tuple[tuple[int, int], ...]
     rows: tuple[tuple[int, int, int, int, int], ...]
 
     @cached_property
@@ -267,8 +270,8 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
         raise ValueError("window must satisfy lo <= hi")
     character, types = _types(a)
     shift, L = period_shift(a), a.lcm()
-    well_defined = not _scan(a, types, shift, -1, 1, "the exponents are too large for the"
-                             " well-definedness check, whatever the window")[0]
+    gate, _ = _scan(a, types, shift, -1, 1, "the exponents are too large for the"
+                    " well-definedness check, whatever the window")
     ranks, rows = _scan(a, types, shift, lo, hi, "pass --window LO:HI with a narrower window")
     return CHReport(
         exponents=a,
@@ -276,7 +279,8 @@ def ch_report(a: ExponentVector, window: tuple[int, int]) -> CHReport:
         ranks=GradedRanks(ranks=ranks, window=(lo, hi)),
         period_shift=shift,
         period_multipliers={m: L // m for m in types.times},  # a period needs no plan
-        well_defined=well_defined,
+        well_defined=not gate,
+        gate_ranks=tuple(sorted(gate.items())),
         rows=tuple(rows),
     )
 

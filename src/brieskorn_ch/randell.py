@@ -42,7 +42,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import mod, not_
 
 from .exact import gcd_set, lcm_set, subsets  # unused, kept for perfbench's tracer
@@ -313,6 +313,32 @@ def full_homology(a: ExponentVector) -> HomologyReport:
         homotopy_sphere=sphere,
         description=description,
     )
+
+
+def graph_sphere(a: ExponentVector) -> bool:
+    """Whether the manifold is a homology sphere, by Brieskorn's graph
+    criterion (Invent. Math. 2, 1966), without its homology: O(k^2) gcds.
+
+    Join a_i and a_j when gcd(a_i, a_j) > 1.  The manifold is a homology
+    sphere exactly when the graph has two isolated exponents, or one and a
+    component of odd size whose pairwise gcds are all 2.  With at least four
+    exponents it is simply connected, so this is `full_homology`'s
+    `homotopy_sphere`.
+    """
+    unseen = set(range(len(a)))
+    isolated, odd_twos = 0, False
+    while unseen:
+        component = [unseen.pop()]
+        for i in component:  # the loop also walks the exponents it appends
+            joined = {j for j in unseen if math.gcd(a[i], a[j]) > 1}
+            unseen -= joined
+            component += joined
+        if len(component) == 1:
+            isolated += 1
+        elif len(component) % 2 and all(math.gcd(a[i], a[j]) == 2
+                                         for i, j in combinations(component, 2)):
+            odd_twos = True
+    return isolated >= 2 or isolated == 1 and odd_twos
 
 
 def orbit_space_betti(size: int, extra: int) -> tuple[int, ...]:

@@ -798,6 +798,30 @@ def test_exotic_builds_each_orbit_space_once(capsys, monkeypatch):
     assert built == [2]
 
 
+def test_exotic_runs_two_scans_and_no_torsion(capsys, monkeypatch):
+    # the report's gate and window scans are the only ones: the sphere clause
+    # is Brieskorn's graph criterion, and the clause below 2n-4 reads the
+    # report's ranks; the default window starts at 0, so no gap is scanned
+    from brieskorn_ch import contact, randell
+
+    scans = []
+    original = contact._scan
+
+    def counting(*args, **kwargs):
+        scans.append(args[3:5])
+        return original(*args, **kwargs)
+
+    def refuse(a):
+        raise AssertionError("torsion computed")
+
+    monkeypatch.setattr(contact, "_scan", counting)
+    monkeypatch.setattr(randell, "torsion", refuse)
+    code, out, _ = run(capsys, "exotic", "--primes", "3", "5", "--copies", "3")
+    assert code == 0
+    assert json.loads(out)["payload"]["verdict"]["passed"] is True
+    assert scans == [(-1, 1), (0, 4)]
+
+
 def test_exotic_on_twelve_primes_builds_at_most_three_plans(capsys, monkeypatch):
     # 4,095 orbit types; the scans stop at the first type whose N = 1 lies
     # past the window, so only the types of least period get a plan
@@ -885,6 +909,14 @@ def replay(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_top_level_help_keeps_the_exit_code_table_lines(capsys):
+    code, out, _ = replay(capsys, ["-h"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "    0  success" in lines
+    assert "    4  special-sphere check failed" in lines
 
 
 def test_the_one_pass_read_on_or_off_writes_the_same_bytes(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from functools import reduce
 from pathlib import Path
@@ -17,7 +18,8 @@ from brieskorn_ch.connected_sum import (
     special_sphere_check,
     sphere_exponents,
 )
-from brieskorn_ch.contact import ch_report
+from brieskorn_ch.contact import GradedRanks, ch_report, ranks_up_to
+from brieskorn_ch.randell import full_homology
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,6 +220,53 @@ def test_each_failing_clause_is_named_alone(change, clause):
     verdict = dataclasses.replace(PASSING_VERDICT, **change)
     assert not verdict.passed
     assert verdict.failing_clauses() == (clause,)
+
+
+def test_the_audit_reads_the_report_as_the_homology_and_a_global_scan_would():
+    # the sphere clause against the whole homology, the clause below 2n-4
+    # against a scan of every degree up to 2n-5, on three windows: the
+    # default, one from degree 2 (gate and window meet) and the narrowest,
+    # which starts above 2 from n = 4 on and so leaves a gap to scan
+    primes = [p for p in range(3, 32) if all(p % q for q in range(2, p))]
+    gaps = 0
+    for size in (2, 3, 4):
+        for chosen in itertools.combinations_with_replacement(primes, size):
+            a = sphere_exponents(chosen)
+            n = a.n
+            sphere = full_homology(a).homotopy_sphere
+            below = tuple(ranks_up_to(a, 2 * n - 5).items())
+            for window in ((0, 2 * n - 2), (2, 2 * n - 3), (2 * n - 4, 2 * n - 3)):
+                verdict = special_sphere_check(chosen, ch_report(a, window))
+                assert verdict.is_homotopy_sphere == sphere, (chosen, window)
+                assert verdict.ranks_below == below, (chosen, window)
+            gaps += 2 * n - 4 > 2
+    assert gaps == 220 + 715
+
+
+def test_the_clause_below_reads_the_gate_the_window_and_the_gap(monkeypatch):
+    # no real sphere has a generator below 2n-4, so each source is fed one:
+    # the gate's ranks, the window's up to 2n-5 and, for a window starting
+    # above degree 2, the scan of the gap below it
+    primes = (3, 5, 7)  # n = 4: the clause reads degrees up to 3
+    a = sphere_exponents(primes)
+    gap_scans = []
+
+    def gap(vector, hi):
+        gap_scans.append(hi)
+        return GradedRanks(ranks={2: 5}, window=(-1, hi))
+
+    monkeypatch.setattr(connected_sum, "ranks_up_to", gap)
+    report = ch_report(a, (0, 6))
+    fed = dataclasses.replace(report, gate_ranks=((-1, 1), (1, 2)), ranks=GradedRanks(
+        ranks={**report.ranks.ranks, 3: 4}, window=report.ranks.window))
+    verdict = special_sphere_check(primes, fed)
+    assert verdict.ranks_below == ((-1, 1), (1, 2), (3, 4))
+    assert verdict.failing_clauses() == ("generators below degree 2n-4",)
+    assert gap_scans == []
+
+    narrow = dataclasses.replace(ch_report(a, (4, 5)), gate_ranks=((0, 1),))
+    assert special_sphere_check(primes, narrow).ranks_below == ((0, 1), (2, 5))
+    assert gap_scans == [3]
 
 
 def test_special_sphere_check_validates_report():

@@ -16,6 +16,7 @@ from brieskorn_ch.randell import (
     closed_kappa,
     divisor_product,
     full_homology,
+    graph_sphere,
     kappa,
     orbit_space_rational_homology,
     torsion,
@@ -260,12 +261,16 @@ def brieskorn_graph_sphere(a) -> bool:
 
 def test_homotopy_sphere_follows_brieskorn_graph_criterion():
     # every exponent vector with 4 to 6 entries from 2 to 12 (n >= 3, so a
-    # homology sphere is simply connected and a homotopy sphere)
+    # homology sphere is simply connected and a homotopy sphere); the
+    # library's `graph_sphere` is checked against the homology and the
+    # test-local form of the criterion alike
     spheres = 0
     for k in (4, 5, 6):
         for a in itertools.combinations_with_replacement(range(2, 13), k):
             expected = brieskorn_graph_sphere(a)
-            assert full_homology(ExponentVector(a)).homotopy_sphere == expected, a
+            vector = ExponentVector(a)
+            assert full_homology(vector).homotopy_sphere == expected, a
+            assert graph_sphere(vector) == expected, a
             spheres += expected
     assert spheres == 2673
 

@@ -63,12 +63,6 @@ def __getattr__(name: str):
     return globals().setdefault(name, getattr(module, name))
 
 
-def _loaded(name: str):
-    """The object the public `name` stands for, or None while its module is
-    not imported: no value can be of a type whose module has not run."""
-    return getattr(sys.modules.get(f"{__package__}.{_PUBLIC[name]}"), name, None)
-
-
 SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
@@ -95,7 +89,7 @@ def _parse_window(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # report objects -> JSON text
 
-# How a report type is written, by its public name: a function giving the
+# How a report type is written, by its name: a function giving the
 # JSON value it stands for (an exponent vector is its exponents), or (fields
 # left out, derived keys, each read by an attribute name or a function of the
 # report) for a report written as an object of its fields.
@@ -113,11 +107,6 @@ _OVERRIDES = {
     # The gate's ranks stay internal: `well_defined` is their verdict.
     "CHReport": (("rows", "gate_ranks"), {}),
 }
-
-
-def _by_type(table: dict) -> dict:
-    """`table` keyed by the types its names stand for, those already defined."""
-    return {kind: entry for name, entry in table.items() if (kind := _loaded(name)) is not None}
 
 
 # The writer's own two kinds of value are plain namespaces, not dataclasses:
@@ -157,7 +146,7 @@ def _layout(kind: type, extra: tuple[str, ...], pad: str) -> tuple[str | None, C
     A type `_OVERRIDES` writes as another value gets no template and its function."""
     from dataclasses import fields  # every report type is one: loaded with the reports
 
-    entry = _by_type(_OVERRIDES).get(kind, ((), {}))
+    entry = _OVERRIDES.get(kind.__name__, ((), {}))
     if type(entry) is not tuple:
         return None, entry
     left_out, derived = entry
@@ -335,18 +324,11 @@ def _cmd_orbits(args):
     return payload, diagnostics, EXIT_OK
 
 
-def _default_window(a: ExponentVector) -> tuple[int, int]:
-    # Two periods of the repeating pattern, on the side the degrees grow.
-    shift = period_shift(a)
-    if shift >= 0:
-        return (0, max(2 * shift, 2))
-    return (2 * shift, 0)
-
-
 def _cmd_ch(args):
     a = ExponentVector(tuple(args.exponents))
-    if args.window is None:
-        args.window = _default_window(a)
+    if args.window is None:  # two periods of the repeating pattern, on the side the degrees grow
+        shift = period_shift(a)
+        args.window = (0, max(2 * shift, 2)) if shift >= 0 else (2 * shift, 0)
     try:
         report = ch_report(a, args.window)
     except DegenerateContactFormError as exc:
@@ -490,31 +472,33 @@ def _cmd_exotic(args):
 # arguments: one table, built into argparse by `_build_parser` and read in
 # one pass by `_read_args`; argparse is imported only where that pass declines
 
-_FLAG = {"action": "store_true"}  # an option that takes no value
 _RUN = {"nargs": "+", "type": int}  # the exponents, or the primes after the required --primes
-_WINDOW = {"--window": ("window", _parse_window, None, None)}
-_FORMAT = {"--format": ("format", ("json", "text"), "json", "output format")}
-_EXPONENTS = ("exponents", _RUN, None)
+_WINDOW = {"--window": ("window", None, {"type": _parse_window, "metavar": "LO:HI"})}
+_FORMAT = {"--format": ("format", "json", {"choices": ("json", "text"), "help": "output format"})}
+_EXPONENTS = ("exponents", _RUN)
 
-# name -> (function, help, positional run (dest, converter, help) or None,
-# options {name: (dest, converter, default, help)}).  A converter is `int`,
-# `_parse_window`, a tuple of choices, `_FLAG`, `_RUN` or (file names) `str`.
+# name -> (function, help, positional run (dest, keywords) or None, options
+# {spelling: (dest, default, keywords)}).  The keywords are argparse's own, read
+# by `_read_args` too: action "store_true", nargs "+", type int or
+# `_parse_window`, choices, required, help and metavar, and no others.
 _COMMANDS = {
     "homology": (_cmd_homology, "integral homology of the manifold", _EXPONENTS, _FORMAT),
     "orbits": (_cmd_orbits, "orbit types and index character", _EXPONENTS, _FORMAT),
     "ch": (_cmd_ch, "contact homology generator counts", _EXPONENTS, {
         **_WINDOW,
-        "--provenance": ("provenance", _FLAG, False, "include contributions"),
-        "--crosscheck": ("crosscheck", _FLAG, False,
-                         "verify each distinct index by the independent unitary-path route"),
+        "--provenance": ("provenance", False,
+                         {"action": "store_true", "help": "include contributions"}),
+        "--crosscheck": ("crosscheck", False, {
+            "action": "store_true",
+            "help": "verify each distinct index by the independent unitary-path route"}),
         **_FORMAT}),
     "sum": (_cmd_sum, "connected-sum generator counting",
-            ("files", str, "JSON envelopes from ch or sum"),
-            {"--beta-n": ("beta_n", int, None, None), "--cutoff": ("cutoff", int, None, None),
+            ("files", {"nargs": "+", "help": "JSON envelopes from ch or sum"}),
+            {"--beta-n": ("beta_n", None, {"type": int}), "--cutoff": ("cutoff", None, {"type": int}),
              **_FORMAT}),
     "exotic": (_cmd_exotic, "special sphere and iterated sums", None, {
-        "--primes": ("primes", _RUN, None, None), "--copies": ("copies", int, 1, None),
-        **_WINDOW, **_FORMAT}),
+        "--primes": ("primes", None, {**_RUN, "required": True}),
+        "--copies": ("copies", 1, {"type": int}), **_WINDOW, **_FORMAT}),
 }
 
 # The stages in pipeline order, each importing those before it: a command
@@ -546,94 +530,73 @@ def _build_parser():
     parser = Parser(prog="brieskorn-ch", description=__doc__,
                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, positional, options) in _COMMANDS.items():
+    for name, (_, help_text, positional, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if positional is not None:
-            dest, convert, help_text = positional
-            p.add_argument(dest, help=help_text, **_RUN if convert is _RUN else {"nargs": "+"})
-        for option, (dest, convert, default, help_text) in options.items():
-            kind = (convert if type(convert) is dict else {"choices": convert}
-                    if type(convert) is tuple else {"type": window, "metavar": "LO:HI"}
-                    if convert is _parse_window else {"type": convert, "metavar": None})
-            p.add_argument(option, dest=dest, default=default, required=convert is _RUN,
-                           help=help_text, **kind)
-        p.set_defaults(func=func)
+            p.add_argument(positional[0], **positional[1])
+        for option, (dest, default, keywords) in options.items():
+            if keywords.get("type") is _parse_window:
+                keywords = {**keywords, "type": window}
+            p.add_argument(option, dest=dest, default=default, **keywords)
     return parser
 
 
-def _converted(convert, words: list[str]):
-    """What argparse makes of an option's or a positional run's words;
-    ValueError where it refuses them, or where `_read_args` declines them
-    (a run of other than decimals)."""
-    if convert is _RUN:
-        if not all(map(str.isdecimal, words)):
-            raise ValueError("not a run of decimals")
-        return list(map(int, words))
-    if convert is str:
-        return words
-    if type(convert) is tuple:
-        if words[0] not in convert:
-            raise ValueError("not a choice")
-        return words[0]
-    return convert(words[0])
-
-
-def _run_end(argv: list[str], i: int) -> int:
-    """The end of the run of values from argv[i]: tokens not starting with "-"."""
-    while i < len(argv) and argv[i][:1] != "-":
-        i += 1
-    return i
-
-
 def _read_args(argv: list[str]) -> SimpleNamespace | None:
-    """The names and values argparse gives `argv`, read in one pass off
-    `_COMMANDS` into a plain namespace, or None for a spelling the pass
-    leaves to argparse (the module docstring lists both kinds)."""
+    """The names and values argparse gives `argv`, read in one pass off the
+    keywords of `_COMMANDS` into a plain namespace, or None for a spelling the
+    pass leaves to argparse (the module docstring lists both kinds)."""
     spec = _COMMANDS.get(argv[0]) if argv else None
     if spec is None:
         return None
-    func, _, positional, options = spec
+    _, _, positional, options = spec
     values = {}  # dest -> value, for what argv gives; a dest given twice is declined
-    i = 1
-    try:
-        while i < len(argv):
-            token = argv[i]
-            if token[:1] != "-":  # the positional run, up to the next option
-                if positional is None or positional[0] in values:
-                    return None
-                start, i = i, _run_end(argv, i)
-                values[positional[0]] = _converted(positional[1], argv[start:i])
-                continue
-            name, eq, value = token.partition("=")
-            if name not in options or options[name][0] in values:
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        if token[:1] != "-":  # the positional run, from this token
+            if positional is None:
                 return None
-            dest, convert, _, _ = options[name]
+            (dest, keywords), eq = positional, ""
+        else:
+            name, eq, value = token.partition("=")
+            if name not in options:
+                return None
+            dest, _, keywords = options[name]
             i += 1
-            if convert is _FLAG:
-                if eq:
-                    return None
-                values[dest] = True
-                continue
+        if dest in values:
+            return None
+        if "action" in keywords:  # store_true: no value
             if eq:
-                words = [value]
-            else:  # the next token, or the run of them after --primes
-                words = argv[i:_run_end(argv, i)]
-                if convert is not _RUN:
-                    words = words[:1]
-                if not words:
-                    return None
-                i += len(words)
-            values[dest] = _converted(convert, words)
-    except ValueError:
-        return None
+                return None
+            values[dest] = True
+            continue
+        run = "nargs" in keywords  # "+": a run of values, else one
+        if eq:
+            words = [value]
+        else:  # the next token, or the run of them
+            start = i
+            while i < end and argv[i][:1] != "-" and (run or i == start):
+                i += 1
+            words = argv[start:i]
+            if not words:
+                return None
+        kind = keywords.get("type", str)
+        if run and kind is int and not all(map(str.isdecimal, words)):
+            return None  # a run is read in decimal digits only
+        try:
+            values[dest] = list(map(kind, words)) if run else kind(words[0])
+        except ValueError:
+            return None
+        if "choices" in keywords and values[dest] not in keywords["choices"]:
+            return None
     if positional is not None and positional[0] not in values:
         return None
-    for dest, convert, default, _ in options.values():
+    for dest, default, keywords in options.values():
         if dest not in values:
-            if convert is _RUN:  # --primes is required
+            if keywords.get("required"):
                 return None
             values[dest] = default
-    return SimpleNamespace(command=argv[0], **values, func=func)
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _usage(exc: ValueError) -> int:
@@ -642,8 +605,7 @@ def _usage(exc: ValueError) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = _read_args(argv) or _build_parser().parse_args(argv)
     except ValueError as exc:
@@ -653,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in _BINDS[args.command].difference(globals()):
         __getattr__(name)
     try:
-        payload, diagnostics, code = args.func(args)
+        payload, diagnostics, code = _COMMANDS[args.command][0](args)
     except ValueError as exc:
         return _usage(exc)
     except HomologyInvariantError as exc:
@@ -662,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "input": {k: v for k, v in vars(args).items() if k not in ("command", "func", "format")},
+        "input": {k: v for k, v in vars(args).items() if k not in ("command", "format")},
         "payload": payload,
         "diagnostics": diagnostics,
     }

@@ -109,8 +109,10 @@ def iterated_sphere_sum(sphere: GeneratorCounts, r: int) -> GeneratorCounts:
     """Counts of the r-fold self-sum; r = 1 is the sphere.
 
     r copies of the sphere's counts and one tube per join, with no `combine`:
-    r * sphere[d] + (r - 1) * beta(n, d) in degree d.
+    r * sphere[d] + (r - 1) * beta(n, d) in degree d, for an int r >= 1.
     """
+    if type(r) is not int:
+        raise ValueError(f"the number of summands must be an int, not {r!r}")
     if r < 1:
         raise ValueError("need at least one summand")
     n, cutoff = sphere.half_dim_n, sphere.cutoff
@@ -176,6 +178,15 @@ def special_sphere_check(primes: tuple[int, ...], report: CHReport) -> SpecialSp
     by `ranks_up_to` (lo - 1 <= 2n-5 as lo <= 2n-4).  Gate, window and gap
     thus cover every degree up to 2n-5, each degree's rank read whole from
     one of them.
+
+    Lemma: for odd p_i >= 3 every generator has degree >= 2n-4.  A degree
+    is coef*N + 2*sum floor(Nm/x) over the x outside J + const + j, j >= 0
+    (`contact._plan`).  An even m puts both 2s in J; with S the odd
+    exponents in J, coef = 2*sum_S m/s >= 4|S| (each m/s even) and const =
+    2n-4-2|S|, so the degree is >= 2n-4+2|S|; the principal type m = 2 lands
+    at 2*sum floor(2N/p_i) + 2n-4.  An odd m needs N odd, and the two floors
+    floor(Nm/2) then give at least 2n-2.  So the clause guards the scan (a
+    report or gap that misses a degree), not the primes.
     """
     a = report.exponents
     if a != sphere_exponents(tuple(primes)):

@@ -75,10 +75,12 @@ def _unitary(num: int, den: int) -> int:
 def maslov_unitary(turns: Fraction | int) -> int:
     """Index of a unitary rotation path through `turns` full revolutions.
 
-    `turns` is an exact rational (angle divided by 2*pi) and must be
-    positive.  Integral turns close the path: index 2*turns.  Otherwise
-    the index is 2*floor(turns) + 1.
+    `turns` is an exact rational, an int or a `Fraction` (angle divided by
+    2*pi), and must be positive.  Integral turns close the path: index
+    2*turns.  Otherwise the index is 2*floor(turns) + 1.
     """
+    if type(turns) not in (int, Fraction):
+        raise ValueError(f"rotation turns must be an int or a Fraction, not {turns!r}")
     turns = Fraction(turns)
     if turns <= 0:
         raise ValueError("rotation angle must be positive")

@@ -12,7 +12,10 @@ and every long option cut to a prefix argparse takes (`--w`, `--p`, `--c`,
 and so is `orbits` on the exponents of every `homology` and `ch` query (no
 workload runs `orbits`, whose list of orbit types is the longest the
 writer walks).  Each run prints one line,
-`<workload> <seed> <sha256> <argv>`.  Diff the output of two checkouts to
+`<workload> <seed> <sha256> <argv>`.  Once per invocation, the help texts
+(`-h` at the top level and for each subcommand) and the usage refusals of
+argvs with no subcommand first are digested too, on lines
+`usage - <sha256> <argv>`.  Diff the output of two checkouts to
 see that a change keeps every byte the tool writes.  The `sum` inputs are
 written by the tool itself into a temporary directory, so nothing lands in
 the checkout.
@@ -36,8 +39,17 @@ from queries import WORKLOADS, generate, write_sum_pool  # noqa: E402
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits after writing a help text
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+# help texts, and usage refusals with no subcommand first (none, a misspelt
+# one, an option before it)
+USAGE = [["-h"], *([command, "-h"] for command in ("homology", "orbits", "ch", "sum", "exotic")),
+         [], ["cho", "2", "2", "2", "2"], ["--format", "json", "ch", "6", "2", "2", "2"]]
 
 
 # the shortest prefix of each long option that no other option of its subcommand shares
@@ -65,6 +77,8 @@ def seeds(text: str) -> range:
 
 
 def main_digest(spec: str) -> None:
+    for argv in USAGE:
+        print("usage", "-", digest(argv), " ".join(argv))
     with tempfile.TemporaryDirectory() as scratch:
         here = os.getcwd()
         os.chdir(scratch)

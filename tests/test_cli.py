@@ -946,7 +946,7 @@ ABBREVIATED = ["--w", "--win", "--prov", "--p", "--pr", "--cross", "--c", "--cop
                "--beta", "--f", "--fo"]
 DECIMALS = ["2", "3", "5", "6", "007", "٣"]
 VALUES = [*DECIMALS, "²", "+5", "-3", "1_0", " 4", "", "0:12", "-30:0", "5:3", "a:b",
-          "json", "text", "xml", "a.json", "-"]
+          "json", "text", "xml", "a.json", "a=b.json", "-"]
 TOKENS = [*VALUES, *OPTIONS, *ABBREVIATED, "--", "-h", "--help", "--bogus"]
 decimal_runs = st.lists(st.sampled_from(DECIMALS), min_size=1, max_size=4)
 
@@ -986,6 +986,22 @@ def test_the_one_pass_read_gives_argparse_namespace_or_declines():
 
     check()
     assert set(reads) == set(cli._COMMANDS) and min(reads.values()) >= 25, reads
+
+
+def test_every_argument_keyword_is_one_the_one_pass_read_interprets():
+    # `_read_args` reads the argparse keywords of `_COMMANDS` itself, and only
+    # these; an option written with another (nargs "?", action "append") must
+    # fail here rather than be read as something argparse does not do
+    entries = []
+    for _, _, positional, options in cli._COMMANDS.values():
+        entries += [] if positional is None else [positional[1]]
+        entries += [keywords for _, _, keywords in options.values()]
+    for keywords in entries:
+        assert keywords.get("type", int) in (int, cli._parse_window), keywords
+        assert keywords.get("nargs", "+") == "+", keywords
+        assert keywords.get("action", "store_true") == "store_true", keywords
+        assert set(keywords) <= {"type", "nargs", "action", "choices", "required", "help",
+                                 "metavar"}, keywords
 
 
 def test_every_benchmark_argv_takes_the_one_pass_read(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from brieskorn_ch.connected_sum import (
     sphere_exponents,
 )
 from brieskorn_ch.contact import GradedRanks, ch_report, ranks_up_to
-from brieskorn_ch.randell import full_homology
+from brieskorn_ch.randell import ExponentVector, full_homology
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,6 +92,14 @@ def test_iterated_sum_examples():
 
     ladder = iterated_sphere_sum(empty_counts(), 2)
     assert ladder.counts == {3: 1, 5: 1, 7: 1, 9: 1}
+
+
+def test_iterated_sum_refuses_a_number_of_copies_that_is_not_an_int():
+    # 2.5 copies once gave the float counts {4: 5.0, 5: 1.5}
+    sphere = GeneratorCounts(counts={4: 2}, cutoff=5, half_dim_n=4)
+    for r in (2.5, 2.0, Fraction(5, 2), True):
+        with pytest.raises(ValueError, match="must be an int"):
+            iterated_sphere_sum(sphere, r)
 
 
 def test_iterated_sum_is_additive_below_the_tube_degrees():
@@ -267,6 +276,16 @@ def test_the_clause_below_reads_the_gate_the_window_and_the_gap(monkeypatch):
     narrow = dataclasses.replace(ch_report(a, (4, 5)), gate_ranks=((0, 1),))
     assert special_sphere_check(primes, narrow).ranks_below == ((0, 1), (2, 5))
     assert gap_scans == [3]
+
+
+def test_no_sphere_has_a_generator_below_2n_minus_4():
+    # the lemma of `special_sphere_check`, on odd tuples (composites and
+    # repeats included, so not only what `sphere_exponents` takes): the
+    # least degree is 2n-4, where the principal type m = 2 lands at N = 1
+    for size in (2, 3, 4):
+        for odd in itertools.combinations_with_replacement(range(3, 22, 2), size):
+            a = ExponentVector((*odd, 2, 2))
+            assert min(ranks_up_to(a, 2 * a.n - 4).ranks) == 2 * a.n - 4, odd
 
 
 def test_special_sphere_check_validates_report():

@@ -40,6 +40,14 @@ def test_unitary_path_rejects_nonpositive():
         maslov_unitary(Fraction(-1, 2))
 
 
+def test_unitary_path_refuses_inexact_turns():
+    # a float is not an exact angle: 0.1 once read as the binary fraction
+    # nearest it and gave index 1
+    for turns in (0.1, 1.0, 2.5, True, "1/2"):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            maslov_unitary(turns)
+
+
 def test_orbit_space_index_examples():
     a = ExponentVector((6, 2, 2, 2))
     t = type_with_m(a, 2)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from functools import cache, reduce
-from importlib import import_module
 from itertools import count
 from operator import attrgetter, itemgetter, methodcaller
 from types import SimpleNamespace
@@ -49,18 +48,18 @@ from _json import encode_basestring_ascii
 from . import _PUBLIC
 
 # The pipeline names this module reads are the package's public names
-# (`_PUBLIC`, name -> module).  None is imported with this module: each is
-# read on first use through `__getattr__` (PEP 562), and `main` binds the
-# names of a command's stages (`_BINDS`) before the command runs, so a
-# command loads only those stages.
+# (`_PUBLIC`, name -> module), none imported with this module.  Each is read as
+# an attribute of the module itself, `_api.<name>`: `__getattr__` (PEP 562)
+# resolves it on its first read and binds it, so a command loads only the stages
+# it reads and calls a wrapper set on `cli.<name>`.  Bare reads skip `__getattr__`.
+_api = sys.modules[__name__]  # under `python -m`, the `__main__` module
 
 
 def __getattr__(name: str):
     if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # bound here, so later reads of the name skip this function
-    module = import_module(f"{__package__}.{_PUBLIC[name]}")
-    return globals().setdefault(name, getattr(module, name))
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
 
 
 SCHEMA_VERSION = "1"
@@ -308,14 +307,15 @@ def _render_text(command: str, payload) -> str:
 # that resolves a default writes it to `args`
 
 def _cmd_homology(args):
-    a = ExponentVector(tuple(args.exponents))
-    return full_homology(a), [], EXIT_OK
+    a = _api.ExponentVector(tuple(args.exponents))
+    return _api.full_homology(a), [], EXIT_OK
 
 
 def _cmd_orbits(args):
-    a = ExponentVector(tuple(args.exponents))
-    character = classify_index(a)
-    payload = {"exponents": a, "character": character, "orbit_types": enumerate_orbit_types(a)}
+    a = _api.ExponentVector(tuple(args.exponents))
+    character = _api.classify_index(a)
+    payload = {"exponents": a, "character": character,
+               "orbit_types": _api.enumerate_orbit_types(a)}
     diagnostics = []
     if character.is_degenerate:
         diagnostics.append(
@@ -325,19 +325,19 @@ def _cmd_orbits(args):
 
 
 def _cmd_ch(args):
-    a = ExponentVector(tuple(args.exponents))
+    a = _api.ExponentVector(tuple(args.exponents))
     if args.window is None:  # two periods of the repeating pattern, on the side the degrees grow
-        shift = period_shift(a)
+        shift = _api.period_shift(a)
         args.window = (0, max(2 * shift, 2)) if shift >= 0 else (2 * shift, 0)
     try:
-        report = ch_report(a, args.window)
-    except DegenerateContactFormError as exc:
-        payload = {"exponents": a, "error": "degenerate", "character": classify_index(a)}
+        report = _api.ch_report(a, args.window)
+    except _api.DegenerateContactFormError as exc:
+        payload = {"exponents": a, "error": "degenerate", "character": _api.classify_index(a)}
         return payload, [str(exc)], EXIT_DEGENERATE
 
     diagnostics = []
     if args.crosscheck:
-        checked = crosscheck_rows(a, report.rows)
+        checked = _api.crosscheck_rows(a, report.rows)
         diagnostics.append(f"crosscheck: {checked} contributions verified by both routes")
     if any(degree % 2 for degree in report.ranks.ranks):
         diagnostics.append("odd-degree generators present (an orbit space has odd middle homology)")
@@ -352,7 +352,7 @@ def _cmd_ch(args):
     return payload, diagnostics, EXIT_OK if report.well_defined else EXIT_NOT_WELL_DEFINED
 
 
-def _counts_from_envelope(obj: dict) -> GeneratorCounts:
+def _counts_from_envelope(obj: dict) -> _api.GeneratorCounts:
     if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"not a schema-{SCHEMA_VERSION} envelope")
     payload = obj.get("payload", {})
@@ -373,15 +373,15 @@ def _counts_from_envelope(obj: dict) -> GeneratorCounts:
         else:
             sign = payload.get("character", {}).get("sign")
             pairs, edges = payload["ranks"]["ranks"], tuple(payload["ranks"]["window"])
-            n = ExponentVector(tuple(payload["exponents"])).n
+            n = _api.ExponentVector(tuple(payload["exponents"])).n
         counts = dict(pairs)
         numbers = (*counts, *counts.values(), *edges, n)
         if len(counts) != len(pairs) or any(type(x) is not int for x in numbers):
             raise ValueError("a repeated degree, or a number that is not an int (bool, float)")
         if kind == "sum":
-            total = GeneratorCounts(counts=counts, cutoff=edges[0], half_dim_n=n)
+            total = _api.GeneratorCounts(counts=counts, cutoff=edges[0], half_dim_n=n)
         else:
-            total = GeneratorCounts.of_ranks(GradedRanks(ranks=counts, window=edges), n)
+            total = _api.GeneratorCounts.of_ranks(_api.GradedRanks(ranks=counts, window=edges), n)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} payload") from exc
     if kind == "ch":
@@ -429,39 +429,39 @@ def _cmd_sum(args):
     cutoff = min(counts.cutoff for counts in counts_list)
     cutoff = cutoff if args.cutoff is None else min(cutoff, args.cutoff)
     tubes = (cutoff - (2 * dims.pop() - 3)) // 2 + 1  # the odd degrees 2n - 3, ..., cutoff
-    if len(counts_list) > 1 and tubes > MAX_TORSION_FACTORS:
-        raise ValueError(f"cutoff {cutoff} asks for more than {MAX_TORSION_FACTORS} tube degrees:"
-                         " too large to write")
-    counts_list = [GeneratorCounts({d: c for d, c in counts.counts.items() if d <= cutoff}, cutoff,
-                                   counts.half_dim_n) for counts in counts_list]
-    return {"generator_counts": reduce(combine, counts_list)}, [], EXIT_OK
+    if len(counts_list) > 1 and tubes > _api.MAX_TORSION_FACTORS:
+        raise ValueError(f"cutoff {cutoff} asks for more than {_api.MAX_TORSION_FACTORS}"
+                         " tube degrees: too large to write")
+    counts_list = [_api.GeneratorCounts({d: c for d, c in counts.counts.items() if d <= cutoff},
+                                        cutoff, counts.half_dim_n) for counts in counts_list]
+    return {"generator_counts": reduce(_api.combine, counts_list)}, [], EXIT_OK
 
 
 def _cmd_exotic(args):
-    if args.copies > MAX_TORSION_FACTORS:  # one row per copy: refused before any is built
-        raise ValueError(f"--copies {args.copies} asks for more than {MAX_TORSION_FACTORS} rows:"
-                         " too large to write")
+    if args.copies > _api.MAX_TORSION_FACTORS:  # one row per copy: refused before any is built
+        raise ValueError(f"--copies {args.copies} asks for more than"
+                         f" {_api.MAX_TORSION_FACTORS} rows: too large to write")
     primes = tuple(args.primes)
-    a = sphere_exponents(primes)
+    a = _api.sphere_exponents(primes)
     n = a.n
     if args.window is None:
         args.window = (0, 2 * n - 2)
     if not (args.window[0] <= 2 * n - 4 and 2 * n - 3 <= args.window[1]):
         raise ValueError("window must cover degrees 2n-4 and 2n-3")
     # Two exponents are 2, so the character is never degenerate here.
-    report = ch_report(a, args.window)
-    verdict = special_sphere_check(primes, report)
+    report = _api.ch_report(a, args.window)
+    verdict = _api.special_sphere_check(primes, report)
     if not verdict.passed:
         diagnostics = [f"failing clause: {c}" for c in verdict.failing_clauses()]
         return {"verdict": verdict}, diagnostics, EXIT_SPHERE_CHECK
 
-    sphere = GeneratorCounts.of_ranks(report.ranks, n)
-    final = iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
+    sphere = _api.GeneratorCounts.of_ranks(report.ranks, n)
+    final = _api.iterated_sphere_sum(sphere, args.copies)  # refuses fewer than one copy
     # The r-fold self-sum holds r copies of the sphere's counts and r - 1
     # tubes, so each column steps by one sphere and one tube per row.
     low, tube = (sphere[d] for d in (2 * n - 4, 2 * n - 3))
-    rows = list(zip(range(1, args.copies + 1), count(low, low + beta(n, 2 * n - 4)),
-                    count(tube, tube + beta(n, 2 * n - 3))))
+    rows = list(zip(range(1, args.copies + 1), count(low, low + _api.beta(n, 2 * n - 4)),
+                    count(tube, tube + _api.beta(n, 2 * n - 3))))
     iterated = _Table(keys=("copies", "low_degree", "tube_degree"), rows=rows)
     payload = {"verdict": verdict, "iterated_counts": iterated, "final_counts": final}
     diagnostics = ["degree 2n-4 counts are lower bounds; degree 2n-3 counts are exact"]
@@ -500,12 +500,6 @@ _COMMANDS = {
         "--primes": ("primes", None, {**_RUN, "required": True}),
         "--copies": ("copies", 1, {"type": int}), **_WINDOW, **_FORMAT}),
 }
-
-# The stages in pipeline order, each importing those before it: a command
-# reads the first few, and `main` binds every public name of those
-_STAGES = ("randell", "orbits", "maslov", "contact", "connected_sum")
-_BINDS = {command: frozenset(name for name, module in _PUBLIC.items() if module in _STAGES[:depth])
-          for command, depth in {"homology": 1, "orbits": 3, "ch": 4, "sum": 5, "exotic": 5}.items()}
 
 
 @cache  # parsing leaves the parser as it was, so one serves every call
@@ -610,15 +604,11 @@ def main(argv: list[str] | None = None) -> int:
         args = _read_args(argv) or _build_parser().parse_args(argv)
     except ValueError as exc:
         return _usage(exc)
-    # bind what the command reads; a name bound already (by an earlier
-    # call, or to a wrapper in its place) is kept
-    for name in _BINDS[args.command].difference(globals()):
-        __getattr__(name)
     try:
         payload, diagnostics, code = _COMMANDS[args.command][0](args)
     except ValueError as exc:
         return _usage(exc)
-    except HomologyInvariantError as exc:
+    except _api.HomologyInvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     envelope = {

@@ -1,4 +1,8 @@
-"""Exact integer helpers shared by every stage of the pipeline.
+"""Exact integer helpers: gcd and lcm over a collection, and subset streams.
+
+No stage of the pipeline calls them.  They are kept for `tests/test_exact.py`
+and for perfbench's tracer, which wraps the names `randell` and `orbits`
+import from here.
 
 All quantities live in unbounded Python ints (and ``fractions.Fraction``
 where a quotient appears); nothing here ever touches floating point.

@@ -12,7 +12,8 @@ brieskorn_ch.cli`, `-h`, and one canonical argv per command through
 itself into a temporary directory.  Prints one JSON line: the Python
 version, the value of `PYTHONDONTWRITEBYTECODE` (when set, every run
 compiles the modules it imports), and each case's best and median wall
-time in ms.
+time in ms.  A call that exits nonzero is no start-up to time: the script
+stops at once and exits nonzero, naming the case and the tree.
 
 With OTHER_ROOT, the root of a second checkout, each call of a case is
 made on both trees in turn, the tree that goes first alternating from one
@@ -72,9 +73,13 @@ def main(runs: int, roots: dict[str, Path]) -> None:
                 for label in order:
                     env, cwd, argvs = trees[label]
                     start = perf_counter()
-                    subprocess.run([sys.executable, *argvs[name]], env=env, cwd=cwd,
-                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                    code = subprocess.run([sys.executable, *argvs[name]], env=env, cwd=cwd,
+                                          stdout=subprocess.DEVNULL,
+                                          stderr=subprocess.DEVNULL).returncode
                     times[label][name].append((perf_counter() - start) * 1e3)
+                    if code:
+                        sys.exit(f"startup_times.py: case {name!r} exited {code}"
+                                 f" on {label} ({roots[label]})")
             order.reverse()
     line = {
         "python": sys.version.split()[0],

@@ -117,11 +117,15 @@ def test_recording_appends_new_runs_and_keeps_recorded_ones(tmp_path, monkeypatc
 
 
 def test_module_entry_point_writes_the_recorded_bytes():
-    # `python -m` goes through run() and the __main__ guard, which replay() skips
+    # `python -m` goes through run() and the __main__ guard, which replay() skips;
+    # there `cli` is the module `__main__`, which reads the names of every command path
     golden = {tuple(g["argv"]): g for g in json.loads(GOLDEN.read_text(encoding="utf-8"))}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
-    for argv in (["homology", "4", "2", "2", "2"], ["ch", "4", "4", "4", "4"]):
+    for line in ("homology 4 2 2 2", "ch 4 4 4 4", "orbits 6 2 2 2 --format text",
+                 "ch 6 2 2 2 --window 0:12 --provenance --crosscheck",
+                 "exotic --primes 3 5 --copies 5 --format text", "exotic --primes 3 3"):
+        argv = line.split()
         done = subprocess.run([sys.executable, "-m", "brieskorn_ch.cli", *argv], env=env,
                               capture_output=True, encoding="utf-8")
         record = {"argv": argv, "exit_code": done.returncode, "stdout": done.stdout,

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations, count
+from math import gcd, lcm
 
 import pytest
+from randell_oracle import kappa_oracle
 
 from brieskorn_ch import contact
 from brieskorn_ch.contact import (
@@ -348,3 +351,35 @@ def test_many_exponent_windows_near_zero_match_the_walk(monkeypatch):
         checked += 1
     assert signs == {"positive", "negative"}
     assert plans < types / 2
+
+
+def test_one_far_period_counts_each_type_once_per_admissible_multiplier():
+    # far past every type's first period, each (type, N mod L/m, j) lands
+    # once in any |s| consecutive degrees (s the period shift), since N + L/m
+    # has N's type and lies s degrees on; so the window's signed ranks are
+    # each orbit space's Euler characteristic times its number of admissible
+    # N in one period, both read off the exponents, not off the scan
+    rng = random.Random(20261022)
+    seen = set()
+    checked = 0
+    while checked < 200:
+        a = ExponentVector(tuple(rng.randint(2, 9) for _ in range(rng.randint(4, 6))))
+        s = period_shift(a)
+        if s == 0 or abs(s) > 400 or (s > 0) != (checked % 2 == 0):
+            continue
+        edge = 3 * abs(s) + 4 * a.n + 10
+        window = (edge, edge + s - 1) if s > 0 else (s + 1 - edge, -edge)
+        expected = 0
+        for t in enumerate_orbit_types(a):
+            period = a.lcm() // t.m
+            q = [x // gcd(x, t.m) for i, x in enumerate(a.a) if i not in t.J]  # x | N*m iff q | N
+            nu = sum((-1) ** r * (period // lcm(*S))
+                     for r in range(len(q) + 1) for S in combinations(q, r))
+            chi = len(t.J) - 1 + (-1) ** len(t.J) * kappa_oracle(a.a, t.J)
+            first = next(N for N in count(1) if valid_multiplier(a, t, N))
+            expected += (1 - 2 * (generator_degree(a, t, first, 0) % 2)) * chi * nu
+        ranks = ch_ranks(a, window).ranks
+        assert sum((1 - 2 * (d % 2)) * r for d, r in ranks.items()) == expected, (a, window)
+        seen.add((len(a.a), s > 0))
+        checked += 1
+    assert {k for k, _ in seen} == {4, 5, 6} and {p for _, p in seen} == {True, False}

@@ -83,9 +83,10 @@ def test_every_public_name_resolves_by_import_and_by_getattr():
         raise AssertionError("an unknown name resolved")
 
 
-def test_a_tracer_installed_before_any_call_wraps_every_cli_name():
+def test_a_tracer_installed_before_any_call_wraps_every_cli_name(tmp_path):
     # the names perfbench's tracer wraps on `cli` are not bound until read:
-    # the tracer's read binds them, and `main` keeps its wrappers
+    # the tracer's read binds them, and every command calls its wrappers
+    report = str(tmp_path / "ch.json")
     code = f"""
 import contextlib, io, json, sys
 sys.path.insert(0, {str(ROOT / "perfbench")!r})
@@ -93,15 +94,25 @@ import tracer
 import brieskorn_ch.cli as cli
 t = tracer.Tracer()
 t.install()
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["ch", "6", "2", "2", "2", "--crosscheck"])
-    cli.main(["exotic", "--primes", "3", "5", "--copies", "2"])
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["ch", "6", "2", "2", "2", "--crosscheck"]) == 0
+    with open({report!r}, "w", encoding="utf-8") as handle:
+        handle.write(out.getvalue())
+    for argv, exit_code in [(["exotic", "--primes", "3", "5", "--copies", "2"], 0),
+                            (["homology", "4", "2", "2", "2"], 0),
+                            (["orbits", "6", "2", "2", "2"], 0), (["ch", "4", "4", "4", "4"], 2),
+                            (["sum", {report!r}, {report!r}], 0)]:
+        assert cli.main(argv) == exit_code, argv
 counts = t.work_counts()
 t.remove()
 print(json.dumps([t.missing, counts]))
 """
     missing, counts = fresh(code)
     assert missing == []
-    assert counts["contact.ch_report.calls"] == 2
+    assert counts["contact.ch_report.calls"] == 3  # the degenerate `ch` refused inside it
     assert counts["connected_sum.special_sphere_check.calls"] == 1
-    assert counts["maslov.classify_index.calls"] >= 1
+    for name in ("maslov.classify_index", "randell.full_homology", "orbits.enumerate_orbit_types",
+                 "connected_sum.combine", "connected_sum.iterated_sphere_sum"):
+        assert counts[f"{name}.calls"] >= 1, name
+    # `cli.maslov_crosscheck` is wrapped, but `ch --crosscheck` calls `crosscheck_rows`
+    assert "maslov.crosscheck.calls" not in counts

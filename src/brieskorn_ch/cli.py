@@ -187,13 +187,14 @@ def _table(keys: tuple[str, ...] | None, rows, pad: str) -> str:
 
 
 def _members(template: str, values, pad: str, maps_as_rows: bool) -> str:
-    """An object through its `%`-template, from its values in key order: a
-    dict, where `maps_as_rows` (a report's int maps: ranks, period
-    multipliers, counts), as its keyless rows [key, value] sorted by key,
-    every other value through `_dumps`."""
+    """An object through its `%`-template, from its values in key order: an
+    int or a str as its literal, a dict, where `maps_as_rows` (a report's
+    int maps: ranks, period multipliers, counts), as its keyless rows
+    [key, value] sorted by key, every other value through `_dumps`."""
     inner = pad + "  "
     return template % tuple([
-        _table(None, sorted(item.items()), inner) if maps_as_rows and type(item) is dict
+        str(item) if type(item) is int else encode_basestring_ascii(item) if type(item) is str
+        else _table(None, sorted(item.items()), inner) if maps_as_rows and type(item) is dict
         else _dumps(item, inner) for item in values
     ])
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .maslov import IndexCharacter, classify_index, maslov_orbit_space
@@ -161,14 +162,15 @@ def _types(a: ExponentVector) -> tuple[IndexCharacter, _Types]:
 
 
 def _plan(a: ExponentVector, m: int) -> _Plan:
-    inside = [x for x in a.a if not m % x]  # the exponents in J
-    outside = tuple([x for x in a.a if m % x])
+    values = a.a
+    inside = [x for x in values if not m % x]  # the exponents in J
+    outside = tuple([x for x in values if m % x])
     ranks = orbit_space_betti(len(inside), closed_kappa(a, m))
     return _Plan(
         outside=outside,
         coef=2 * sum([m // x for x in inside]) - 2 * m,
-        const=len(outside) + (a.n - 3) - (len(inside) - 2),
-        homology=tuple([(j, count) for j, count in enumerate(ranks) if count]),
+        const=2 * len(outside) - 2,  # |outside| + (n - 3) - (|J| - 2), n + 1 = |J| + |outside|
+        homology=tuple(compress(enumerate(ranks), ranks)),
     )
 
 

@@ -173,11 +173,12 @@ def crosscheck_rows(a: ExponentVector, rows: Sequence[tuple[int, int, int, int, 
     """
     if not rows:
         return 0
+    values = a.a
     ms, Ns, js, degrees, _ = zip(*rows)
-    types = {m: OrbitType(m=m, J=tuple([i for i, x in enumerate(a) if not m % x]))
+    types = {m: OrbitType(m=m, J=tuple([i for i, x in enumerate(values) if not m % x]))
              for m in dict.fromkeys(ms)}
-    timed = {m: len(t.J) >= 2 and lcm(*(a[i] for i in t.J)) == m for m, t in types.items()}
-    offsets = {m: (a.n - 3) - (len(t.J) - 2) for m, t in types.items()}
+    timed = {m: len(t.J) >= 2 and lcm(*(values[i] for i in t.J)) == m for m, t in types.items()}
+    offsets = {m: (len(values) - 4) - (len(t.J) - 2) for m, t in types.items()}  # n = k - 1
     pairs = list(dict.fromkeys(zip(ms, Ns)))
     pair_ms, pair_Ns = zip(*pairs)
     pair_types = list(map(types.__getitem__, pair_ms))

@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations, compress, repeat
 from operator import mod, not_
 
@@ -75,12 +73,18 @@ class ExponentVector:
     divisor bookkeeping for the orbit types and is rejected rather than
     special-cased.  At most MAX_EXPONENTS: the number of distinct subset
     lcms can reach 2^k.
+
+    `derived`, a dict set on construction, is a per-instance cache and not
+    a field, so equality, hashing and `repr` never see it: the tables later
+    stages build from this vector alone (the divisor-ring product, the
+    contact scan's orbit types and plans), kept for as long as the vector.
     """
 
     a: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "derived", {})
         if len(self.a) < 4:
             raise ValueError("need at least four exponents")
         if len(self.a) > MAX_EXPONENTS:
@@ -95,14 +99,6 @@ class ExponentVector:
 
     def lcm(self) -> int:
         return math.lcm(*self.a)
-
-    @cached_property
-    def derived(self) -> dict:
-        """Tables later stages build from this vector alone (the divisor-ring
-        product and the contact scan's orbit types with the plans built so
-        far), kept for as long as the vector.
-        """
-        return {}
 
     def reciprocal_sum(self) -> Fraction:
         L = self.lcm()
@@ -146,16 +142,18 @@ def _ring_product(values: Iterable[int]) -> dict[int, int]:
     once: as Lambda_x^i = x^(i-1) Lambda_x, (Lambda_x - 1)^r = s + t Lambda_x
     with s = (-1)^r and t = ((x - 1)^r - s) / x, an exact division.
     """
+    multiplicity: dict[int, int] = {}
+    for x in values:
+        multiplicity[x] = multiplicity.get(x, 0) + 1
     terms = {1: 1}
-    for x, r in Counter(values).items():
+    for x, r in multiplicity.items():
         s = -1 if r % 2 else 1
         t = ((x - 1) ** r - s) // x
-        product = dict.fromkeys(terms, 0)
         # Lambda_m (s + t Lambda_x) = s Lambda_m + t g Lambda_top, g = gcd(m, x), top = lcm(m, x)
+        product = {m: s * c for m, c in terms.items()}
         for m, c in terms.items():
             g = math.gcd(m, x)
             top = m // g * x
-            product[m] += s * c
             product[top] = product.get(top, 0) + t * c * g
         terms = product
     return terms
@@ -186,8 +184,9 @@ def divisor_product(a: ExponentVector) -> tuple[tuple[int, ...], tuple[int, ...]
     """
     product = a.derived.get("divisor product")
     if product is None:
-        terms = _ring_product(a.a)
-        _checked(a, range(len(a)), sum(terms.values()))
+        values = a.a
+        terms = _ring_product(values)
+        _checked(a, range(len(values)), sum(terms.values()))
         lcms = tuple(sorted(terms))
         product = a.derived["divisor product"] = (lcms, tuple(map(terms.__getitem__, lcms)))
     return product
@@ -217,8 +216,12 @@ def closed_kappa(a: ExponentVector, m: int) -> int:
     lcms, coefficients = divisor_product(a)
     below = bisect_right(lcms, m)
     total = sum(compress(coefficients, map(not_, map(mod, repeat(m, below), lcms))))
-    J = [j for j, x in enumerate(a.a) if not m % x]
-    return _checked(a, J, -total if (len(a.a) - len(J)) % 2 else total)
+    values = a.a
+    if (len(values) - [*map(mod, repeat(m), values)].count(0)) % 2:  # k - |J_m| odd
+        total = -total
+    if total < 0:  # refused, naming J_m
+        _checked(a, [j for j, x in enumerate(values) if not m % x], total)
+    return total
 
 
 def kappa(a: ExponentVector, support: Iterable[int]) -> int:
@@ -250,12 +253,13 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
     A torsion of more than MAX_TORSION_FACTORS cyclic factors is refused
     with its runs named before any tuple is built.
     """
+    values = a.a
     factor: dict[int, int] = {}  # kappa value -> product of the C > 1 it carries
-    for g in _closure(set(a.a), math.gcd, 0) - {0, 1}:
-        outside = [x for x in a.a if x % g]  # the exponents of S
+    for g in _closure(set(values), math.gcd, 0) - {0, 1}:
+        outside = [x for x in values if x % g]  # the exponents of S
         m = math.lcm(*outside)
         c = g // math.gcd(g, m)
-        if (len(a) - len(outside)) % 2 == 1 and c > 1:  # S is J_m, and |K| is odd
+        if (len(values) - len(outside)) % 2 == 1 and c > 1:  # S is J_m, and |K| is odd
             level = closed_kappa(a, m)
             if level > 0:
                 factor[level] = factor.get(level, 1) * c
@@ -269,8 +273,8 @@ def torsion(a: ExponentVector) -> tuple[int, ...]:
         order //= factor[level]
     for (prev, _), (nxt, _) in zip(runs, runs[1:]):
         if prev % nxt:
-            raise HomologyInvariantError(f"torsion chain broken for {tuple(a)}: {runs}")
-    if sum(length for _, length in runs) > MAX_TORSION_FACTORS:
+            raise HomologyInvariantError(f"torsion chain broken for {values}: {runs}")
+    if levels and levels[-1] > MAX_TORSION_FACTORS:  # the run lengths sum to the top level
         named = " + ".join(f"(Z/{d})^{length}" for d, length in runs)
         raise ValueError(f"torsion {named} has more than {MAX_TORSION_FACTORS} "
                          "cyclic factors: too large to write")
@@ -325,17 +329,18 @@ def graph_sphere(a: ExponentVector) -> bool:
     exponents it is simply connected, so this is `full_homology`'s
     `homotopy_sphere`.
     """
-    unseen = set(range(len(a)))
+    values = a.a
+    unseen = set(range(len(values)))
     isolated, odd_twos = 0, False
     while unseen:
         component = [unseen.pop()]
         for i in component:  # the loop also walks the exponents it appends
-            joined = {j for j in unseen if math.gcd(a[i], a[j]) > 1}
+            joined = {j for j in unseen if math.gcd(values[i], values[j]) > 1}
             unseen -= joined
             component += joined
         if len(component) == 1:
             isolated += 1
-        elif len(component) % 2 and all(math.gcd(a[i], a[j]) == 2
+        elif len(component) % 2 and all(math.gcd(values[i], values[j]) == 2
                                          for i, j in combinations(component, 2)):
             odd_twos = True
     return isolated >= 2 or isolated == 1 and odd_twos

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from brieskorn_ch import randell
+from brieskorn_ch import cli, randell
 from brieskorn_ch.randell import (
     MAX_EXPONENTS,
     ExponentVector,
@@ -118,6 +119,51 @@ def test_a_corrupted_product_coefficient_is_refused_as_a_negative_kappa():
     ev.derived["divisor product"] = (lcms, (one, two + 1, four))
     with pytest.raises(HomologyInvariantError, match=r"negative kappa on the support \(1, 2, 3\) of"):
         full_homology(ev)
+
+
+def test_the_ring_product_equals_a_fold_over_every_occurrence():
+    # `_ring_product` multiplies a value met r times in once, by a closed
+    # form for (Lambda_x - 1)^r; the fold multiplies (Lambda_x - 1) in once
+    # per occurrence, with Lambda_m Lambda_x = gcd(m, x) Lambda_lcm(m, x).
+    # Few distinct values in long vectors, so values repeat up to 12 times.
+    rng = random.Random(3201)
+    for _ in range(2000):
+        distinct = rng.sample(range(2, 13), rng.randint(1, 4))
+        values = [rng.choice(distinct) for _ in range(rng.randint(4, 12))]
+        folded = {1: 1}
+        for x in values:
+            product = {}
+            for m, c in folded.items():
+                product[m] = product.get(m, 0) - c
+                top = math.lcm(m, x)
+                product[top] = product.get(top, 0) + math.gcd(m, x) * c
+            folded = product
+        assert randell._ring_product(values) == folded, values  # keys with a zero kept too
+
+
+def test_the_vector_cache_stays_outside_its_value(monkeypatch):
+    a, b = ExponentVector((6, 4, 3, 2, 2)), ExponentVector((6, 4, 3, 2, 2))
+    divisor_product(a)
+    a.derived["anything"] = object()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "derived" not in {f.name for f in dataclasses.fields(ExponentVector)}
+    copy = dataclasses.replace(a)
+    assert copy == a and copy.derived == {} and copy.derived is not a.derived
+    # Two calls on the same argv each build their own vector and cache.
+    made = []
+
+    def recording(values):
+        made.append(ExponentVector(values))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "ExponentVector", recording)
+    for argv in (["homology", "6", "4", "3", "2", "2"],
+                 ["ch", "6", "2", "2", "2", "--window", "0:12", "--crosscheck"]):
+        made.clear()
+        assert main(argv) == main(argv) == 0
+        first, second = made
+        assert first == second and first.derived and first.derived is not second.derived
+        assert {*map(id, first.derived.values())}.isdisjoint(map(id, second.derived.values()))
 
 
 def test_every_support_torsion_reads_is_closed_and_read_off_the_product():

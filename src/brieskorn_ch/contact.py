@@ -22,10 +22,10 @@ checked on a window-independent scan, and the ranks that scan found.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import NamedTuple
 
 from .maslov import IndexCharacter, classify_index, maslov_orbit_space
 from .maslov import _index_formula  # unused, kept for perfbench's tracer
@@ -123,25 +123,17 @@ def period_shift(a: ExponentVector) -> int:
     return 2 * sum(L // aj for aj in a) - 2 * L
 
 
-class _Plan(NamedTuple):
-    """What the scan reads of one orbit type, built when a scan first reaches it.
+# What the scan reads of one orbit type, built when a scan first reaches it.
+# The degree of H_j of the N-fold cover is coef*N + 2*sum(N*m // a_i) +
+# const + j, the sum over the exponents outside J (`outside`): inside J,
+# N*m/a_j is exact and folds into coef.  `homology` holds the nonzero
+# (j, rank) of the orbit space.
+_Plan = namedtuple("_Plan", "outside coef const homology")
 
-    The degree of H_j of the N-fold cover is coef*N + 2*sum(N*m // a_i) +
-    const + j, the sum over the exponents outside J: inside J, N*m/a_j is
-    exact and folds into coef.
-    """
-
-    outside: tuple[int, ...]
-    coef: int
-    const: int
-    homology: tuple[tuple[int, int], ...]  # nonzero (j, rank) of the orbit space
-
-
-class _Types(NamedTuple):
-    """The orbit types of one vector, as every scan reads them."""
-
-    times: list[int]  # return times m, ascending, so the period L/m descends
-    plans: dict[int, _Plan]  # by m, each built on the first scan that reaches its type
+# The orbit types of one vector, as every scan reads them: `times`, the
+# return times m, ascending, so the period L/m descends; `plans`, by m,
+# each built on the first scan that reaches its type.
+_Types = namedtuple("_Types", "times plans")
 
 
 def _types(a: ExponentVector) -> tuple[IndexCharacter, _Types]:

@@ -1,29 +1,34 @@
-"""In-process call times of two checkouts, query by query, with the same bytes checked.
+"""The base-vs-head replay: every byte two checkouts write, then their call times.
 
 Usage, from the root of a checkout:
 
     python tests/call_times.py OTHER_ROOT [--seeds A-B] [--rounds R]
 
 The `src/brieskorn_ch` of this checkout and of OTHER_ROOT are copied into
-a temporary directory as two packages, `brieskorn_ch_this` and
-`brieskorn_ch_other`, and both `cli.main`s are imported into one process,
-so the two trees are timed under the same load.  Every query of the given
-seeds (default 1-5) of all three workloads of `perfbench/queries.py`
-(imported read-only, as `tests/output_digest.py` does) runs R rounds
-(default 15) on each tree; which tree goes first alternates from one query
-to the next and from one round to the next.  The `sum` inputs are written
-by the tool itself into the temporary directory, each envelope by both
-trees in turn.
+a temporary directory as `brieskorn_ch_this` and `brieskorn_ch_other`, and
+both `cli.main`s are imported into one process.  The queries are those of
+the given seeds (default 1-5) of all three workloads of this checkout's
+`perfbench/queries.py`; the `sum` inputs are written by both trees in turn
+into the temporary directory.
 
-Every call's (exit code, stdout, stderr) must be the same on both trees:
-at the first that differs, the script stops and exits nonzero, naming its
-argv.  Otherwise it prints, per workload and tree, on perfbench/run.py's
-definitions but unscaled: the p50 (the median over the queries of each
-query's median time), the tail (the time with 10 queries above it) and the
-mean time per call, in microseconds.  Then, from R more rounds with each
-command function wrapped by a timer, the share of the summed time each
-phase of a call takes: the argument read (up to the command), the command,
-and the writer (the envelope, its text and everything after the command).
+First the bytes: every `-h` and the usage refusals with no subcommand
+first, then every query, and `orbits` on the exponents of every `homology`
+and `ch` query (the longest list the writer walks), each as written, with
+`--format text`, and with `--format json` and every long option cut to a
+prefix argparse takes, which the CLI's one-pass argument read leaves to
+argparse.  Each argv runs on both trees, which goes first alternating, and
+at the first whose (exit code, stdout, stderr) differ the script exits
+nonzero, naming it; else it prints how many it compared.  `--rounds 0`
+stops there.
+
+Then the times: every query as written runs R rounds (default 15) on each
+tree, its outputs compared again, which tree goes first alternating from
+one query and one round to the next.  Per workload and tree it prints, on
+perfbench/run.py's definitions but unscaled, the p50 (the median of the
+per-query medians), the tail (the time with 10 queries above it) and the
+mean per call, in microseconds; then, from R more rounds with each command
+function wrapped by a timer, each phase's share of the summed time: the
+argument read, the command, and the writer (everything after it).
 """
 
 import argparse
@@ -45,6 +50,15 @@ from queries import WORKLOADS, generate, write_sum_pool  # noqa: E402
 
 TAIL_ABOVE = 10  # perfbench/run.py's tail: the latency with this many queries above it
 TREES = ("this", "other")
+
+# help texts, and usage refusals with no subcommand first (none, a misspelt
+# one, an option before it)
+USAGE = [["-h"], *([command, "-h"] for command in ("homology", "orbits", "ch", "sum", "exotic")),
+         [], ["cho", "2", "2", "2", "2"], ["--format", "json", "ch", "6", "2", "2", "2"]]
+
+# the shortest prefix of each long option that no other option of its subcommand shares
+PREFIXES = {"--window": "--w", "--provenance": "--p", "--crosscheck": "--c", "--beta-n": "--b",
+            "--cutoff": "--c", "--primes": "--p", "--copies": "--c", "--format": "--f"}
 
 
 def load(roots: dict[str, Path], scratch: Path) -> dict:
@@ -124,6 +138,22 @@ def summary(per_query: list[list[float]]) -> tuple[float, float, float]:
             statistics.fmean(calls) * 1e6)
 
 
+def abbreviated(argv: list[str]) -> list[str]:
+    """`argv` with every long option, also one joined to its value by "=", cut to its prefix."""
+    return [PREFIXES.get(name, name) + eq + value
+            for name, eq, value in (token.partition("=") for token in argv)]
+
+
+def variants(query) -> list[list[str]]:
+    """The argvs the byte replay runs for one query: it and, for `homology`
+    and `ch`, `orbits` on its exponents, each in the three spellings."""
+    runs = [list(query.argv)]
+    if query.command in ("homology", "ch"):
+        runs.append(["orbits", *map(str, query.exponents)])
+    return [spelt for argv in runs for spelt in
+            (argv, [*argv, "--format", "text"], abbreviated([*argv, "--format", "json"]))]
+
+
 def seeds(text: str) -> range:
     lo, _, hi = text.partition("-")
     return range(int(lo), int(hi or lo) + 1)
@@ -133,19 +163,28 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("other", type=Path, help="root of the second checkout")
     parser.add_argument("--seeds", type=seeds, default=seeds("1-5"))
-    parser.add_argument("--rounds", type=int, default=15)
+    parser.add_argument("--rounds", type=int, default=15, help="0: the bytes alone")
     args = parser.parse_args()
+    if not (args.other / "src" / "brieskorn_ch").is_dir():
+        sys.exit(f"call_times.py: {args.other} is not the root of a checkout")
+    if args.rounds < 0:
+        sys.exit(f"call_times.py: --rounds must be 0 or more, not {args.rounds}")
     roots = {"this": ROOT, "other": args.other.resolve()}
     with tempfile.TemporaryDirectory() as scratch:
         modules = load(roots, Path(scratch))
         here = os.getcwd()
         os.chdir(scratch)
         try:
-            queries = {workload: [] for workload in WORKLOADS}
             for seed in args.seeds:
                 write_sum_pool(seed, lambda argv: both(modules, argv, 0)[0][1])
-                for workload in WORKLOADS:
-                    queries[workload] += [list(q.argv) for q in generate(workload, seed)]
+            queries = {w: [q for seed in args.seeds for q in generate(w, seed)] for w in WORKLOADS}
+            replay = USAGE + [argv for qs in queries.values() for q in qs for argv in variants(q)]
+            for i, argv in enumerate(replay):
+                both(modules, argv, i % 2)
+            print(f"bytes: {len(replay)} argvs compared, every one identical on both trees")
+            if not args.rounds:
+                return
+            queries = {w: [q.argv for q in qs] for w, qs in queries.items()}
             times = {w: {tree: [[] for _ in qs] for tree in TREES} for w, qs in queries.items()}
             for r in range(args.rounds):
                 for workload, argvs in queries.items():

@@ -13,10 +13,10 @@ ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("randell", "orbits", "maslov", "contact", "connected_sum")
 
 
-def fresh(code: str):
+def fresh(code: str, *flags: str):
     """What `code` prints as JSON in a fresh interpreter with `PYTHONPATH=src`."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, check=True,
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -64,6 +64,13 @@ def test_each_command_runs_on_the_names_it_binds_alone(capsys, tmp_path):
         (["ch", "6", "2", "2", "2", "--w", "0:4"], 0, ch, ["argparse"]),
     ]:
         assert fresh(running(argv, code) + LOADED) == [stages, loaded], argv
+
+
+def test_ch_and_exotic_load_no_typing():
+    # without site, whose .pth files may import typing themselves
+    code = (running(["ch", "6", "2", "2", "2"], 0) + running(["exotic", "--primes", "3", "5"], 0)
+            + "import json, sys\nprint(json.dumps('typing' in sys.modules))\n")
+    assert fresh(code, "-S") is False
 
 
 def test_every_public_name_resolves_by_import_and_by_getattr():

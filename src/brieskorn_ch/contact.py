@@ -11,9 +11,12 @@ ascending m, whose degree slope grows with m: the walk stops at the first
 type whose N = 1 already lies past the window's far edge, and a type's
 plan (its orbit-space Betti numbers, from its kappa) is built only when
 the walk visits one of its N, so a window near degree 0 pays for the few
-types of least period, not for every type.  Each visited N costs one
-integer pass over the exponents outside the type's support: a zero
-remainder rejects N, and the quotients are the floors the index sums.
+types of least period, not for every type.  Each N of the first period
+L/m a type's walk visits costs one integer pass over the exponents
+outside the type's support: a zero remainder rejects N, and the quotients
+are the floors the index sums.  Every exponent divides L, so N + L/m is
+admissible exactly when N is, and lands one period shift further; a walk
+longer than one period reads its later periods off the first.
 
 The whole construction only exists as a contact invariant when no
 generator lands in degree -1, 0 or 1; the report carries that verdict,
@@ -186,7 +189,10 @@ def _scan(
     visited.  |slope| = |shift|*m/L grows with m, so once N = 1 of a type
     lies past the window's far edge, so does every later type, and the
     walk stops there; a type's plan is built only when some N of it is
-    visited.  Rows are (m, N, j, degree, count), ascending by (m, N, j).
+    visited.  The integer pass runs on at most the first period L/m of a
+    type's walk: a later N + t*L/m is admissible exactly when N is, with
+    base degree t*shift higher.  Rows are (m, N, j, degree, count),
+    ascending by (m, N, j).
     A walk of more than `MAX_SCAN_VISITS` multipliers is refused
     (ValueError, its count and `refusal`) before any is visited.
     """
@@ -196,32 +202,61 @@ def _scan(
     walk = []
     visits = 0
     for m in times:
-        multipliers = _multipliers(L // m, shift, band_lo, band_hi)
+        period = L // m
+        multipliers = _multipliers(period, shift, band_lo, band_hi)
         if multipliers.stop <= 1:
             break
         if multipliers:
-            walk.append((m, multipliers))
+            walk.append((m, period, multipliers))
             visits += multipliers.stop - multipliers.start
     if visits > MAX_SCAN_VISITS:
         raise ValueError(f"degrees {lo} to {hi} need {visits} multipliers scanned, more than"
                          f" {MAX_SCAN_VISITS}: {refusal}")
     ranks: dict[int, int] = {}
     rows = []
-    for m, multipliers in walk:
+    for m, period, multipliers in walk:
         plan = plans.get(m)
         if plan is None:
             plan = plans[m] = _plan(a, m)
         outside, coef, const, homology = plan
-        for N in multipliers:
+        if len(multipliers) <= period:
+            for N in multipliers:
+                total = N * m
+                floors = 0
+                for aj in outside:
+                    q, r = divmod(total, aj)
+                    if not r:
+                        break  # aj divides N*m: the iterate leaves the type
+                    floors += q
+                else:
+                    base = coef * N + 2 * floors + const
+                    for j, count in homology:
+                        degree = base + j
+                        if lo <= degree <= hi:
+                            ranks[degree] = ranks.get(degree, 0) + count
+                            rows.append((m, N, j, degree, count))
+            continue
+        # More than one period: the first gives each valid N its base, and
+        # N + t*period is valid with base + t*shift.
+        first = []
+        for N in multipliers[:period]:
             total = N * m
             floors = 0
             for aj in outside:
                 q, r = divmod(total, aj)
                 if not r:
-                    break  # aj divides N*m: the iterate leaves the type
+                    break
                 floors += q
             else:
-                base = coef * N + 2 * floors + const
+                first.append((N, coef * N + 2 * floors + const))
+        stop = multipliers.stop
+        for t, step in enumerate(range(0, len(multipliers), period)):
+            lift = t * shift
+            for N, base in first:
+                N += step
+                if N >= stop:
+                    break
+                base += lift
                 for j, count in homology:
                     degree = base + j
                     if lo <= degree <= hi:

@@ -9,12 +9,14 @@ by the sign of sum(1/a_j) - 1.
 
 Each route also runs over many iterates at once: `maslov_orbit_space_batch`
 gives the validity and closed-formula index of every (type, N) it is
-handed, and `maslov_crosscheck_batch` the unitary-path index, each with one
-C-level `map` per exponent over all the iterates instead of one Python call
-per iterate.  `crosscheck_rows` audits a report's rows with one call of
-each batch, and names the first faulty row from the batches' own values.
-The scalar routes are the reference the tests hold the batches to; no
-audit calls them.
+handed, and `maslov_crosscheck_batch` the unitary-path index, each in one
+Python pass per iterate with integer divisions by each exponent, and no
+call per iterate.  `crosscheck_rows` audits a report's rows with one call
+of each batch, and names the first faulty row from the batches' own
+values.  The audit is per N: it reads no period, no scan plan and nothing
+of `contact`, so a scan that reuses a period is checked against iterates
+computed afresh.  The scalar routes are the reference the tests hold the
+batches to; no audit calls them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import add, and_, attrgetter, floordiv, gt, mod, mul, neg, not_, sub
 
 from .orbits import OrbitType, valid_multiplier
 from .randell import ExponentVector, HomologyInvariantError
@@ -133,13 +134,20 @@ def maslov_orbit_space_batch(
     (the formula is `_index_formula`'s).  Raises nothing: the caller reads
     the validity.
     """
-    totals = list(map(mul, map(attrgetter("m"), types), multipliers))
-    sizes = list(map(len, map(attrgetter("J"), types)))
-    zeros = map(sum, zip(*[map(not_, map(mod, totals, repeat(x))) for x in a.a]))
-    floors = map(sum, zip(*[map(floordiv, totals, repeat(x)) for x in a.a]))
-    valid = list(map(and_, map(int.__eq__, zeros, sizes), map(gt, multipliers, repeat(0))))
-    k = len(a.a)
-    return valid, [2 * (f - t) + k - s for f, t, s in zip(floors, totals, sizes)]
+    values = a.a
+    k = len(values)
+    valid, closed = [], []
+    for t, N in zip(types, multipliers):
+        total = N * t.m
+        floors = zeros = 0
+        for x in values:
+            floors += total // x
+            if not total % x:
+                zeros += 1
+        size = len(t.J)
+        valid.append(zeros == size and N > 0)
+        closed.append(2 * (floors - total) + k - size)
+    return valid, closed
 
 
 def maslov_crosscheck_batch(
@@ -151,51 +159,65 @@ def maslov_crosscheck_batch(
     unitary-path sum with ceil(x) = -floor(-x): equal to `maslov_crosscheck`
     for every N >= 1, valid or not.  No check on N.
     """
-    totals = list(map(mul, map(attrgetter("m"), types), multipliers))
-    negated = list(map(neg, totals))
-    turns = map(sum, zip(*[
-        map(sub, map(floordiv, totals, repeat(x)), map(floordiv, negated, repeat(x)))
-        for x in a.a
-    ]))
-    return [u - 2 * t for u, t in zip(turns, totals)]
+    values = a.a
+    indices = []
+    for t, N in zip(types, multipliers):
+        total = N * t.m
+        negated = -total
+        index = -2 * total
+        for x in values:
+            index += total // x - negated // x
+        indices.append(index)
+    return indices
 
 
 def crosscheck_rows(a: ExponentVector, rows: Sequence[tuple[int, int, int, int, int]]) -> int:
     """Check the `(m, N, j, degree, count)` rows of a report by both index
     routes; return how many were checked.
 
-    The index depends on (m, N) only, so each distinct pair goes through
-    each batch once, and each row's degree must be that index plus j and
-    its type's shift (n - 3) - (|J| - 2).  Only the types the rows name are
-    built: m is a type's time when J = {i : a_i | m} has |J| >= 2 and
-    lcm(a_J) = m.  On a fault the rows are walked in order against the
+    The index depends on (m, N) only, so each run of rows with one (m, N),
+    which is all of a pair's rows in a report's (m, N, j) order, goes
+    through each batch once, and each row's degree must be that index plus
+    j and its type's shift (n - 3) - (|J| - 2).  Only the types the rows
+    name are built: m is a type's time when J = {i : a_i | m} has |J| >= 2
+    and lcm(a_J) = m.  On a fault the rows are walked in order against the
     batches' own values, and the first faulty one is raised.
     """
     if not rows:
         return 0
     values = a.a
-    ms, Ns, js, degrees, _ = zip(*rows)
-    types = {m: OrbitType(m=m, J=tuple([i for i, x in enumerate(values) if not m % x]))
-             for m in dict.fromkeys(ms)}
-    timed = {m: len(t.J) >= 2 and lcm(*(values[i] for i in t.J)) == m for m, t in types.items()}
-    offsets = {m: (len(values) - 4) - (len(t.J) - 2) for m, t in types.items()}  # n = k - 1
-    pairs = list(dict.fromkeys(zip(ms, Ns)))
-    pair_ms, pair_Ns = zip(*pairs)
-    pair_types = list(map(types.__getitem__, pair_ms))
-    valid, closed = maslov_orbit_space_batch(a, pair_types, pair_Ns)
-    unitary = maslov_crosscheck_batch(a, pair_types, pair_Ns)
-    bases = dict(zip(pairs, map(add, closed, map(offsets.__getitem__, pair_ms))))
-    if (all(timed.values()) and all(valid) and closed == unitary
-            and tuple(map(add, map(bases.__getitem__, zip(ms, Ns)), js)) == degrees):
+    k = len(values)
+    types = {}  # m -> (its type, its degree shift (n - 3) - (|J| - 2), n = k - 1)
+    pair_types, Ns, indices = [], [], []  # per run of one (m, N): the index its first row puts
+    agreed = True  # every row of a run puts the index its first row puts
+    run_m = run_N = None
+    for m, N, j, degree, _ in rows:
+        if N != run_N or m != run_m:
+            run_m, run_N = m, N
+            entry = types.get(m)
+            if entry is None:
+                J = tuple([i for i, x in enumerate(values) if not m % x])
+                entry = types[m] = (OrbitType(m=m, J=J), k - 2 - len(J))
+            t, offset = entry
+            pair_types.append(t)
+            Ns.append(N)
+            indices.append(degree - j - offset)
+        elif degree - j - offset != indices[-1]:
+            agreed = False
+    valid, closed = maslov_orbit_space_batch(a, pair_types, Ns)
+    unitary = maslov_crosscheck_batch(a, pair_types, Ns)
+    timed = {m: len(t.J) >= 2 and lcm(*[values[i] for i in t.J]) == m
+             for m, (t, _) in types.items()}
+    if agreed and all(timed.values()) and all(valid) and closed == unitary == indices:
         return len(rows)
-    batched = dict(zip(pairs, zip(valid, closed, unitary)))
+    batched = dict(zip(zip([t.m for t in pair_types], Ns), zip(valid, closed, unitary)))
     for m, N, j, degree, _ in rows:
         ok, index, indirect = batched[m, N]
         if not (timed[m] and ok):
             raise HomologyInvariantError(f"row at m={m}, N={N} is not an iterate of an orbit type")
         if index != indirect:
             raise HomologyInvariantError(f"index mismatch for m={m}, N={N}: {index} != {indirect}")
-        if (scanned := degree - j - offsets[m]) != index:
+        if (scanned := degree - j - types[m][1]) != index:
             raise HomologyInvariantError(f"degree {degree} at m={m}, N={N}, j={j} puts the index"
                                          f" at {scanned}, both routes give {index}")
     raise AssertionError("the batched check failed on rows the walk passes")

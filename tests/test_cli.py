@@ -716,6 +716,50 @@ def test_crosscheck_reports_the_first_faulty_row(capsys, monkeypatch):
         assert err == f"error: internal invariant failed: {fault}\n"
 
 
+def test_crosscheck_computes_every_period_afresh(capsys, monkeypatch):
+    # the scan reads each type's later periods off its first; the audit reads
+    # no period: with contact's plans and scans refusing to run, seeded
+    # windows of 3-4 periods pass whole, and a row moved to the degree its
+    # (m, N) would have one period later (degree + shift) exits 5
+    from dataclasses import replace
+
+    from brieskorn_ch import contact
+
+    rng = random.Random(3401)
+    reports = []
+    while len(reports) < 24:
+        exponents = tuple(rng.randint(2, 9) for _ in range(rng.randint(4, 6)))
+        a = ExponentVector(exponents)
+        shift = contact.period_shift(a)
+        if a.reciprocal_sum() == 1 or (shift > 0) != (len(reports) % 2 == 0):
+            continue
+        lo = rng.randint(0, 10**4) * shift
+        window = (min(lo, lo + 4 * shift), max(lo, lo + 4 * shift))
+        report = contact.ch_report(a, window)
+        if report.rows:
+            reports.append((exponents, window, report))
+
+    def refuse(*args):
+        raise AssertionError("the audit ran contact's scan")
+
+    monkeypatch.setattr(contact, "_plan", refuse)
+    monkeypatch.setattr(contact, "_scan", refuse)
+    for exponents, window, report in reports:
+        a = ExponentVector(exponents)
+        assert maslov.crosscheck_rows(a, report.rows) == len(report.rows)
+        i = rng.randrange(len(report.rows))
+        m, N, j, degree, count = report.rows[i]
+        later = degree + report.period_shift
+        rows = (*report.rows[:i], (m, N, j, later, count), *report.rows[i + 1:])
+        monkeypatch.setattr(cli, "ch_report", lambda a, window, rows=rows, report=report:
+                            replace(report, rows=rows))
+        code, out, err = run(capsys, "ch", *map(str, exponents),
+                             f"--window={window[0]}:{window[1]}", "--crosscheck")
+        assert (code, out) == (5, "")
+        assert err.startswith(f"error: internal invariant failed: degree {later} at m={m},"
+                              f" N={N}, j={j} puts the index at ")
+
+
 def test_crosscheck_builds_only_the_types_its_rows_name(capsys, monkeypatch):
     # the first twelve primes have 4,083 orbit types; the window's 51 rows
     # come from a few of them, and only those are built: the envelope is

@@ -383,3 +383,64 @@ def test_one_far_period_counts_each_type_once_per_admissible_multiplier():
         seen.add((len(a.a), s > 0))
         checked += 1
     assert {k for k, _ in seen} == {4, 5, 6} and {p for _, p in seen} == {True, False}
+
+
+def per_multiplier_scan(a, types, shift, lo, hi):
+    """`contact._scan` as it was before it reused a period: the same walk,
+    and one integer pass over the outside exponents for every N it visits."""
+    n, L = a.n, a.lcm()
+    band_lo, band_hi = lo - 2 * (n - 2), hi + 2
+    ranks, rows = {}, []
+    for m in types.times:
+        multipliers = contact._multipliers(L // m, shift, band_lo, band_hi)
+        if multipliers.stop <= 1:
+            break
+        outside, coef, const, homology = contact._plan(a, m)
+        for N in multipliers:
+            total = N * m
+            floors = 0
+            for aj in outside:
+                q, r = divmod(total, aj)
+                if not r:
+                    break
+                floors += q
+            else:
+                base = coef * N + 2 * floors + const
+                for j, count in homology:
+                    degree = base + j
+                    if lo <= degree <= hi:
+                        ranks[degree] = ranks.get(degree, 0) + count
+                        rows.append((m, N, j, degree, count))
+    return ranks, rows
+
+
+def test_the_scan_reads_later_periods_off_the_first():
+    # windows of 0.5 to 6 periods (|shift| degrees each) at offsets near 0
+    # and far out, both characters, and the near-degenerate (2, 3, 7, 43),
+    # whose shift is -2 so that most types walk many periods: ranks and
+    # rows, in order, are the per-N scan's, and so are `ranks_up_to`'s ranks
+    rng = random.Random(20261023)
+    vectors = [ExponentVector((2, 3, 7, 43))] * 6
+    while len(vectors) < 66:
+        a = ExponentVector(tuple(rng.randint(2, 9) for _ in range(rng.randint(4, 6))))
+        if classify_index(a).is_positive == (len(vectors) % 2 == 0) and a.reciprocal_sum() != 1:
+            vectors.append(a)
+    signs, multi_period = set(), 0
+    for a in vectors:
+        _, types = contact._types(a)
+        shift = period_shift(a)
+        width = max(1, abs(shift) * rng.randint(1, 12) // 2)
+        offset = rng.choice([0, rng.randint(0, 10**3), rng.randint(10**5, 10**7)])
+        lo = offset if shift > 0 else -offset - width
+        expected = per_multiplier_scan(a, types, shift, lo, lo + width)
+        assert contact._scan(a, types, shift, lo, lo + width) == expected, (a, lo)
+        L = a.lcm()
+        band = (lo - 2 * (a.n - 2), lo + width + 2)
+        multi_period += any(len(contact._multipliers(L // m, shift, *band)) > L // m
+                            for m in types.times)
+        signs.add(shift > 0)
+        if shift > 0:
+            hi = rng.randint(-2, 3 * shift)
+            low = ranks_up_to(a, hi)
+            assert low.ranks == per_multiplier_scan(a, types, shift, low.window[0], hi)[0], (a, hi)
+    assert signs == {True, False} and multi_period > 30

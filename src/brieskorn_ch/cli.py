@@ -96,7 +96,7 @@ _OVERRIDES = {
     "ExponentVector": attrgetter("a"),
     "IndexCharacter": ((), {"reciprocal_sum": lambda c: str(c.reciprocal_sum)}),
     "HomologyReport": (("full_graded",), {"graded": lambda r: _Table(
-        keys=("degree", "rank", "torsion"), arrays=True,
+        keys=("degree", "rank", "torsion"),
         rows=[(degree, rank, tors) for degree, (rank, tors) in sorted(r.full_graded.items())],
     )}),
     "OrbitType": (("J",), {"support": "J", "orbit_space_dim": "orbit_space_dim"}),
@@ -120,12 +120,9 @@ class _Table(SimpleNamespace):
     """Int `rows`, written as a list of arrays (`keys` None) or of {key: cell} objects.
 
     The rows stay the tuples they were computed as; no per-row list or dict
-    is built.  The rows of a keyless table share one width.  Where `arrays`
-    is set, the last cell of each keyed row is a tuple of ints, written as
-    an array.
+    is built.  The rows of a keyless table share one width; a keyed row's
+    last cell may be a tuple of ints, written as an array.
     """
-
-    arrays = False
 
 
 _INT = {int}  # the item types of an array of exact ints
@@ -187,15 +184,15 @@ def _ints(values, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, values)) + pad + "]"
 
 
-def _table(keys: tuple[str, ...] | None, rows, pad: str, arrays: bool = False) -> str:
+def _table(keys: tuple[str, ...] | None, rows, pad: str) -> str:
     """Int rows, each through its table shape's cached template; the cells
     are ints by construction (a bool would be written 1 or True, not true),
-    and with `arrays`, a keyed row's last cell is a tuple of them."""
+    but for a keyed row's last, which may be a tuple of them."""
     if not rows:
         return "[]"
     inner = pad + "  "
     template, cells = _row_template(keys, len(rows[0]), inner)
-    if arrays:
+    if type(rows[0][-1]) is tuple:  # a keyed table's array column
         deep = inner + "  "
         rows = [(*row[:-1], _ints(row[-1], deep)) for row in rows]
     items = map(template.__mod__, rows if cells is None else map(cells, rows))
@@ -204,16 +201,13 @@ def _table(keys: tuple[str, ...] | None, rows, pad: str, arrays: bool = False) -
 
 def _members(template: str, values, pad: str, maps_as_rows: bool) -> str:
     """An object through its `%`-template, from its values in key order: an
-    int or a str as its literal, a list or tuple of ints as its array, a
-    dict, where `maps_as_rows` (a report's int maps: ranks, period
-    multipliers, counts), as its keyless rows [key, value] sorted by key,
-    every other value through `_dumps`."""
+    int or a str as its literal, a dict, where `maps_as_rows` (a report's
+    int maps: ranks, period multipliers, counts), as its keyless rows
+    [key, value] sorted by key, every other value through `_dumps`."""
     inner = pad + "  "
     return template % tuple([
-        str(item) if (kind := type(item)) is int else encode_basestring_ascii(item) if kind is str
-        else _LITERALS[item] if kind is bool
-        else _ints(item, inner) if (kind is tuple or kind is list) and _INT.issuperset(map(type, item))
-        else _table(None, sorted(item.items()), inner) if maps_as_rows and kind is dict
+        str(item) if type(item) is int else encode_basestring_ascii(item) if type(item) is str
+        else _table(None, sorted(item.items()), inner) if maps_as_rows and type(item) is dict
         else _dumps(item, inner) for item in values
     ])
 
@@ -241,13 +235,14 @@ def _dumps(value, pad: str = "\n") -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        if {*map(type, value)} == _INT:  # a bool is no int here: it keeps the item path
-            return _ints(value, pad)
         inner = pad + "  "
-        items = [_dumps(item, inner) for item in value]
+        if {*map(type, value)} == _INT:  # a bool is no int here: it keeps the item path
+            items = map(str, value)
+        else:
+            items = [_dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is _Table:
-        return _table(value.keys, value.rows, pad, value.arrays)
+        return _table(value.keys, value.rows, pad)
     if kind is bool or value is None:
         return _LITERALS[value]
     if kind is _Merged:

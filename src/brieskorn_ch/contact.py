@@ -219,49 +219,42 @@ def _scan(
         if plan is None:
             plan = plans[m] = _plan(a, m)
         outside, coef, const, homology = plan
-        if len(multipliers) <= period:
-            for N in multipliers:
-                total = N * m
-                floors = 0
-                for aj in outside:
-                    q, r = divmod(total, aj)
-                    if not r:
-                        break  # aj divides N*m: the iterate leaves the type
-                    floors += q
-                else:
-                    base = coef * N + 2 * floors + const
-                    for j, count in homology:
-                        degree = base + j
-                        if lo <= degree <= hi:
-                            ranks[degree] = ranks.get(degree, 0) + count
-                            rows.append((m, N, j, degree, count))
-            continue
-        # More than one period: the first gives each valid N its base, and
-        # N + t*period is valid with base + t*shift.
+        # A walk longer than one period runs the integer pass on its first
+        # period only and keeps each valid N's base: N + t*period is valid
+        # with base + t*shift.
+        longer = len(multipliers) > period
         first = []
-        for N in multipliers[:period]:
+        for N in multipliers[:period] if longer else multipliers:
             total = N * m
             floors = 0
             for aj in outside:
                 q, r = divmod(total, aj)
                 if not r:
-                    break
+                    break  # aj divides N*m: the iterate leaves the type
                 floors += q
             else:
-                first.append((N, coef * N + 2 * floors + const))
-        stop = multipliers.stop
-        for t, step in enumerate(range(0, len(multipliers), period)):
-            lift = t * shift
-            for N, base in first:
-                N += step
-                if N >= stop:
-                    break
-                base += lift
+                base = coef * N + 2 * floors + const
+                if longer:
+                    first.append((N, base))
                 for j, count in homology:
                     degree = base + j
                     if lo <= degree <= hi:
                         ranks[degree] = ranks.get(degree, 0) + count
                         rows.append((m, N, j, degree, count))
+        if longer:
+            stop = multipliers.stop
+            for t, step in enumerate(range(period, len(multipliers), period), 1):
+                lift = t * shift
+                for N, base in first:
+                    N += step
+                    if N >= stop:
+                        break
+                    base += lift
+                    for j, count in homology:
+                        degree = base + j
+                        if lo <= degree <= hi:
+                            ranks[degree] = ranks.get(degree, 0) + count
+                            rows.append((m, N, j, degree, count))
     return ranks, rows
 
 
